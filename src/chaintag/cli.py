@@ -94,20 +94,7 @@ def _add_training_flags(parser, defaults=TrainingConfig()):
                              "%(default)s)")
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--threads", type=int, default=1,
-                        help="compute thread bound; never changes results")
-    parser.add_argument("--schema", metavar="PATH", default=None,
-                        help="tagset schema file (default: bundled)")
-
-
-def _check_threads(args):
-    if args.threads < 1:
-        raise ChaintagError("--threads must be at least 1")
-
-
 def cmd_train(args) -> int:
-    _check_threads(args)
     schema = _columns(args.columns)
     if schema.width < 2:
         raise ChaintagError("--columns needs observations plus a label")
@@ -132,7 +119,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    _check_threads(args)
     try:
         model = load_model(args.model)
     except OSError as err:
@@ -179,7 +165,6 @@ def _resolve_pipeline(args):
 
 
 def cmd_cv(args) -> int:
-    _check_threads(args)
     if args.k < 2:
         raise ChaintagError("--k must be at least 2")
     spec = _resolve_pipeline(args)
@@ -240,7 +225,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--model", required=True, metavar="PATH",
                          help="output model file")
     _add_training_flags(p_train)
-    _add_common_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_tag = sub.add_parser("tag", help="tag a corpus with a trained model")
@@ -252,7 +236,6 @@ def build_parser() -> _Parser:
                        help="name of the appended prediction column")
     p_tag.add_argument("--output", metavar="PATH", default=None,
                        help="output file (default: stdout)")
-    _add_common_flags(p_tag)
     p_tag.set_defaults(func=cmd_tag)
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validate a pipeline")
@@ -272,7 +255,8 @@ def build_parser() -> _Parser:
     p_cv.add_argument("--max-iterations", type=int, default=None)
     p_cv.add_argument("--tolerance", type=float, default=None)
     p_cv.add_argument("--cutoff", type=int, default=None)
-    _add_common_flags(p_cv)
+    p_cv.add_argument("--schema", metavar="PATH", default=None,
+                      help="tagset schema file (default: bundled)")
     p_cv.set_defaults(func=cmd_cv)
 
     p_schema = sub.add_parser("schema", help="inspect a tagset schema")

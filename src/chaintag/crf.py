@@ -131,37 +131,12 @@ def sequence_score(lattice: Lattice, labels: Sequence[int]) -> float:
     return float(total)
 
 
-def _logsumexp(scores: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log-sum-exp; scipy's version costs too much per call
-    for the inner recursion loop."""
-    shift = scores.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(scores - shift).sum(axis=axis))
-    out += np.squeeze(shift, axis=axis)
-    return out
-
-
 def forward_backward(lattice: Lattice):
     """Log partition plus node and edge marginals, all log-sum-exp stable."""
-    U, P = lattice.unary, lattice.pairwise
-    T, L = U.shape
-    alpha = np.empty((T, L))
-    beta = np.empty((T, L))
-    alpha[0] = U[0]
-    for t in range(1, T):
-        alpha[t] = U[t] + _logsumexp(alpha[t - 1][:, None] + P[t - 1], axis=0)
-    beta[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(P[t] + (U[t + 1] + beta[t + 1])[None, :], axis=1)
-    shift = float(alpha[T - 1].max())
-    log_z = shift + float(np.log(np.exp(alpha[T - 1] - shift).sum()))
-    node = np.exp(alpha + beta - log_z)
-    if T > 1:
-        edge = np.exp(
-            alpha[:-1, :, None] + P + (U[1:] + beta[1:])[:, None, :] - log_z
-        )
-    else:
-        edge = np.zeros((0, L, L))
-    return log_z, node, edge
+    log_z, node, edge = _batched_forward_backward(
+        lattice.unary[None], lattice.pairwise[None]
+    )
+    return float(log_z[0]), node[0], edge[0]
 
 
 def viterbi(lattice: Lattice) -> list[int]:

@@ -53,7 +53,11 @@ def _header_value(lines: list[str], i: int, key: str) -> str:
 
 
 def parse_model(text: str) -> LinearChainModel:
-    lines = text.splitlines()
+    # Split on "\n" only, as parse_corpus does: str.splitlines would also
+    # break at characters such as U+2028 that corpus cells may contain.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != "%s %d" % (MAGIC, VERSION):
         raise ModelFormatError("not a %s version %d file" % (MAGIC, VERSION))
     labels = tuple(_header_value(lines, 1, "labels").split("\t"))
@@ -104,7 +108,7 @@ def parse_model(text: str) -> LinearChainModel:
         cutoff=cutoff,
     )
     try:
-        weights = np.array([float(w) for w in sections["[weights]"]])
+        weights = np.fromiter(map(float, sections["[weights]"]), dtype=float)
     except ValueError as err:
         raise ModelFormatError("bad weight: %s" % err) from None
     if len(weights) != dictionary.n_weights:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -130,6 +129,16 @@ class TagSchema:
     @cached_property
     def _tag_of_tuple(self) -> dict[tuple[str, str, str, str], str]:
         return {ct.astuple: tag for tag, ct in self.decomposition.items()}
+
+    @cached_property
+    def _valid_inventory(self) -> tuple[tuple[str, tuple[str, str, str, str]], ...]:
+        """(tag, component tuple) for every declared L2 tag that passes
+        the rules, sorted by tag string."""
+        return tuple(
+            (tag, ct.astuple)
+            for tag, ct in sorted(self.decomposition.items())
+            if all(rule.passes(ct) for rule in self.rules)
+        )
 
 
 def render_tag(schema: TagSchema, tag: ComponentTag) -> str:
@@ -391,31 +400,33 @@ def repair(schema: TagSchema, candidates: Sequence[Scored]) -> str:
     Candidates are four (symbol, score) lists, one per component; the EPS
     spelling is accepted for the empty symbol.  Over every valid tuple
     formable from the lists, the one with the highest score sum wins; ties
-    go to the lexicographically smallest tag string.
+    go to the lexicographically smallest tag string.  A symbol listed more
+    than once counts with its best score.
     """
     if len(candidates) != 4:
         raise NoValidTupleError("need one candidate list per component")
-    pools: list[list[tuple[str, float]]] = []
+    pools: list[dict[str, float]] = []
     for k, pool in enumerate(candidates):
         if not pool:
             raise NoValidTupleError("empty candidate list for component %d" % k)
-        cleaned = []
+        best_of: dict[str, float] = {}
         for symbol, score in pool:
             if not math.isfinite(score):
                 raise NoValidTupleError(
                     "non-finite score for symbol %r" % symbol
                 )
-            cleaned.append((text_to_symbol(symbol), float(score)))
-        pools.append(cleaned)
+            symbol = text_to_symbol(symbol)
+            best_of[symbol] = max(float(score), best_of.get(symbol, -math.inf))
+        pools.append(best_of)
+    s0, s1, s2, s3 = pools
     best: tuple[float, str] | None = None
-    for combo in product(*pools):
-        key = tuple(symbol for symbol, _ in combo)
-        tag = schema._tag_of_tuple.get(key)
-        if tag is None or not validate_combination(schema, ComponentTag(*key)):
-            continue
-        total = sum(score for _, score in combo)
-        if best is None or total > best[0] or (total == best[0] and tag < best[1]):
-            best = (total, tag)
+    # Sorted scan with a strict comparison: among equal totals the
+    # lexicographically smallest tag, seen first, is kept.
+    for tag, (g0, g1, g2, g3) in schema._valid_inventory:
+        if g0 in s0 and g1 in s1 and g2 in s2 and g3 in s3:
+            total = s0[g0] + s1[g1] + s2[g2] + s3[g3]
+            if best is None or total > best[0]:
+                best = (total, tag)
     if best is None:
         raise NoValidTupleError("no valid tuple from the candidate lists")
     return best[1]

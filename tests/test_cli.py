@@ -9,6 +9,7 @@ import pytest
 from chaintag.cli import main
 from chaintag.corpus import ColumnSchema, load_corpus
 from chaintag.model_io import load_model
+from chaintag.tagschema import bundled_schema, format_schema
 
 
 def run_cli(argv):
@@ -234,16 +235,27 @@ def test_cv_unknown_pipeline(toy_path, capsys):
     assert code == 1
 
 
-def test_cv_is_deterministic_and_thread_insensitive(toy_path, capsys):
+def test_cv_is_deterministic(toy_path, capsys):
     argv = [
         "cv", toy_path, "--columns", "mot,lemme,tag",
         "--pipeline", "IVbis", "--k", "2", "--seed", "5",
         "--max-iterations", "8",
     ]
-    assert run_cli(argv + ["--threads", "1"]) == 0
+    assert run_cli(argv) == 0
     first = capsys.readouterr().out
-    assert run_cli(argv + ["--threads", "4"]) == 0
+    assert run_cli(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cv_reads_a_schema_file(toy_path, tmp_path):
+    path = tmp_path / "reference.schema"
+    path.write_text(format_schema(bundled_schema()), encoding="utf-8")
+    code = run_cli([
+        "cv", toy_path, "--columns", "mot,lemme,tag",
+        "--pipeline", "IVbis", "--k", "2", "--max-iterations", "8",
+        "--schema", str(path),
+    ])
+    assert code == 0
 
 
 def test_cv_writes_report_files(toy_path, tmp_path):
@@ -274,12 +286,17 @@ def test_usage_errors_exit_with_one(capsys):
     assert run_cli(["nonsense"]) == 1
 
 
-def test_thread_bound_is_validated(toy_path, capsys):
-    code = run_cli([
-        "train", toy_path, "--columns", "mot,lemme,tag",
-        "--model", "/tmp/x", "--threads", "0",
-    ])
-    assert code == 1
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (
+        ["train", "C", "--columns", "mot,tag", "--model", "M", "--threads", "1"],
+        ["tag", "C", "--columns", "mot", "--model", "M", "--threads", "1"],
+        ["cv", "C", "--columns", "mot,tag", "--pipeline", "IV", "--threads", "1"],
+        ["schema", "validate", "--threads", "1"],
+        ["train", "C", "--columns", "mot,tag", "--model", "M", "--schema", "S"],
+        ["tag", "C", "--columns", "mot", "--model", "M", "--schema", "S"],
+    ):
+        assert run_cli(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_internal_errors_exit_with_two(toy_path, monkeypatch, capsys):

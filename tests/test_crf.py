@@ -242,6 +242,23 @@ class TestForwardBackward:
             assert edge[t].sum(axis=1) == pytest.approx(node[t], abs=1e-9)
             assert edge[t].sum(axis=0) == pytest.approx(node[t + 1], abs=1e-9)
 
+    @given(st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=30, deadline=None)
+    def test_stays_finite_at_extreme_weights(self, seed):
+        rng = np.random.default_rng(seed + 20_000)
+        T = int(rng.integers(1, 40))
+        L = int(rng.integers(1, 30))
+        lattice = Lattice(
+            rng.uniform(-1e4, 1e4, size=(T, L)),
+            rng.uniform(-1e4, 1e4, size=(T - 1, L, L)),
+        )
+        log_z, node, edge = forward_backward(lattice)
+        assert np.isfinite(log_z)
+        assert np.isfinite(node).all() and np.isfinite(edge).all()
+        assert node.sum(axis=1) == pytest.approx(np.ones(T), abs=1e-9)
+        small = Lattice(lattice.unary[:4, :4], lattice.pairwise[:3, :4, :4])
+        assert viterbi(small) == brute_viterbi(small)
+
     def test_sequence_probabilities_are_proper(self):
         rng = np.random.default_rng(11)
         lattice = random_lattice(rng, 4, 3)

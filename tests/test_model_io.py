@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaintag.corpus import ColumnSchema, parse_corpus
 from chaintag.crf import TrainingConfig, tag, train
-from chaintag.errors import ModelFormatError
+from chaintag.errors import EmptyCorpusError, ModelFormatError
 from chaintag.model_io import (
     format_model,
     load_model,
@@ -51,6 +52,40 @@ class TestRoundTrip:
         loaded = parse_model(format_model(model))
         assert not loaded.weights.any()
         assert loaded.dictionary == model.dictionary
+
+
+# Line and record separators that str.splitlines breaks at but a corpus
+# cell may hold.
+SEPARATORS = ["\u2028", "\x85", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+CELLS = st.text(
+    st.one_of(
+        st.sampled_from(SEPARATORS),
+        st.characters(blacklist_characters="\t\n"),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(st.lists(
+    st.lists(st.tuples(CELLS, CELLS), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+))
+@settings(max_examples=25, deadline=None)
+def test_any_parsed_corpus_round_trips_through_a_model(sentences):
+    text = "\n\n".join(
+        "\n".join("%s\t%s" % (word, label) for word, label in sentence)
+        for sentence in sentences
+    ) + "\n"
+    try:
+        corpus = parse_corpus(text, ColumnSchema(("mot", "tag")))
+    except EmptyCorpusError:  # every line began with "#", a header
+        return
+    templates = parse_templates(default_templates([0]))
+    model = train(corpus, templates, TrainingConfig(max_iterations=3))
+    loaded = parse_model(format_model(model))
+    assert tag(loaded, corpus) == tag(model, corpus)
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 """Tagset algebra: schema parsing, projection, decomposition, repair."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,9 @@ from chaintag.errors import (
 from chaintag.tagschema import (
     EPS,
     ComponentTag,
+    CompositionRule,
+    RuleClause,
+    TagSchema,
     bundled_schema,
     decompose,
     format_schema,
@@ -26,6 +30,7 @@ from chaintag.tagschema import (
     recombine,
     render_tag,
     repair,
+    text_to_symbol,
     validate_combination,
 )
 
@@ -207,24 +212,62 @@ class TestRepair:
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_matches_brute_force_over_the_inventory(self, seed):
+        # Pools are random subsets of each alphabet, may repeat a symbol
+        # with different scores or name one outside the schema, and half
+        # the time draw scores from a small set so that totals tie.
         schema = bundled_schema()
         rng = random.Random(seed)
+        tied = rng.random() < 0.5
+
+        def score():
+            return rng.choice((-1.0, 0.0, 0.5)) if tied else rng.uniform(-2, 2)
+
         pools = []
-        scores = {}
         for k in range(4):
             pool = []
             for symbol in schema.components(k):
-                value = rng.uniform(-2, 2)
-                scores[(k, symbol)] = value
-                pool.append(("EPS" if symbol == EPS else symbol, value))
+                if rng.random() < 0.8:
+                    for _ in range(rng.choice((1, 1, 2))):
+                        pool.append(("EPS" if symbol == EPS else symbol, score()))
+            if rng.random() < 0.3:
+                pool.append(("ZZ", score()))
+            rng.shuffle(pool)
             pools.append(pool)
         best = None
         for tag, ct in schema.decomposition.items():
-            total = sum(scores[(k, ct.component(k))] for k in range(4))
-            if best is None or total > best[0] or (total == best[0] and tag < best[1]):
-                best = (total, tag)
-        assert repair(schema, pools) == best[1]
+            entries = [
+                [v for symbol, v in pools[k] if text_to_symbol(symbol) == ct.component(k)]
+                for k in range(4)
+            ]
+            for combo in itertools.product(*entries):
+                total = sum(combo)
+                if best is None or total > best[0] or (total == best[0] and tag < best[1]):
+                    best = (total, tag)
+        if best is None:
+            with pytest.raises(NoValidTupleError):
+                repair(schema, pools)
+        else:
+            assert repair(schema, pools) == best[1]
 
+    def test_never_returns_a_declared_tag_that_violates_a_rule(self):
+        # Built directly, so parse_schema's rule check never sees NMS.
+        decomposition = {
+            "NFS": ComponentTag("N", "F", "S"),
+            "NMS": ComponentTag("N", "M", "S"),
+        }
+        schema = TagSchema(
+            l0=("N",), l1=("NS",), l2=("NFS", "NMS"),
+            l1_parent={"NS": "N"},
+            l2_parent={"NFS": "NS", "NMS": "NS"},
+            decomposition=decomposition,
+            rules=(CompositionRule(
+                frozenset({"N"}), (RuleClause(1, "forbid", frozenset({"M"})),)
+            ),),
+        )
+        pools = [[("N", 0.0)], [("M", 5.0), ("F", -5.0)], [("S", 0.0)], [("EPS", 0.0)]]
+        assert repair(schema, pools) == "NFS"
+        with pytest.raises(NoValidTupleError):
+            repair(schema, [[("N", 0.0)], [("M", 5.0)], [("S", 0.0)], [("EPS", 0.0)]])
 
 TOY = """\
 [L0]
