@@ -124,8 +124,10 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
     """Parse a tab-separated document against a schema.
 
     Raises RaggedRowError (with line number) when a token line does not
-    have exactly schema.width fields, EmptyCorpusError when no token
-    survives.
+    have exactly schema.width fields, CorpusFormatError when a carriage
+    return is left inside a line once a CRLF ending is stripped (files
+    are read with universal newlines, so it could not be read back),
+    EmptyCorpusError when no token survives.
     """
     text = _nfc(text)
     width = schema.width
@@ -136,6 +138,8 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
+        if "\r" in line:
+            raise CorpusFormatError("line %d: carriage return inside a line" % lineno)
         if in_header and line.startswith("#"):
             provenance_lines.append(line[2:] if line.startswith("# ") else line[1:])
             continue

@@ -1,11 +1,24 @@
 """Linear-chain conditional random field.
 
-Scores live in the log domain throughout: a lattice holds per-position
-per-label unigram scores and per-transition label-pair scores, and all
-inference (forward-backward, Viterbi) works on those.  Training maximizes
-the L2-regularized conditional log-likelihood with a batch quasi-Newton
-optimizer; the objective and gradient are exact, so training is
-deterministic for fixed inputs.
+A lattice holds log-domain scores: per-position per-label unigram scores
+and per-transition label-pair scores.  Viterbi works on those directly.
+
+Forward-backward uses the scaled probability-domain recursion (Sutton &
+McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
+the same).  Each unary row and each transition matrix is exponentiated
+once after subtracting its maximum, the forward vector is normalized to
+sum 1 at every position, and log Z is the sum of the log normalizers
+plus the subtracted maxima.  Edges that share their active bigram rows
+share one transition matrix, so the expected transition counts come out
+as one matrix product per distinct matrix; no per-edge label-pair tensor
+is formed.  The scaled values stay normal doubles only while the scores
+of a batch spread less than about 690 nats; a batch that spreads wider
+is recomputed by the log-domain recursion, which is also the reference
+the tests compare against.
+
+Training maximizes the L2-regularized conditional log-likelihood with a
+batch quasi-Newton optimizer; the objective and gradient are exact, so
+training is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -132,11 +145,13 @@ def sequence_score(lattice: Lattice, labels: Sequence[int]) -> float:
 
 
 def forward_backward(lattice: Lattice):
-    """Log partition plus node and edge marginals, all log-sum-exp stable."""
-    log_z, node, edge = _batched_forward_backward(
-        lattice.unary[None], lattice.pairwise[None]
+    """Log partition plus node and edge marginals; each edge is its own
+    transition class."""
+    T = lattice.n_positions
+    log_z, node, edge = _forward_backward(
+        lattice.unary[None], lattice.pairwise, np.arange(T - 1)[None]
     )
-    return float(log_z[0]), node[0], edge[0]
+    return float(log_z[0]), node[0], edge
 
 
 def viterbi(lattice: Lattice) -> list[int]:
@@ -164,61 +179,63 @@ def viterbi(lattice: Lattice) -> list[int]:
     return path
 
 
-# --- training ----------------------------------------------------------
+# --- inference and training ------------------------------------------
 
 
 @dataclass(eq=False)
 class _Batch:
-    """Same-length sentences with one bigram row per edge, stacked so the
-    objective can run forward-backward over all of them at once."""
+    """Same-length sentences, stacked so forward-backward runs over all of
+    them at once."""
 
     token_index: np.ndarray  # (B, T) into the flat token axis
-    rows: np.ndarray  # (B, T-1) into the bigram weight blocks
-    y: np.ndarray  # (B, T) gold label indices
+    classes: np.ndarray  # (B, T-1) transition class of each edge
 
 
 @dataclass(eq=False)
 class _Encoded:
-    """A corpus folded into index space against a fixed dictionary."""
+    """A corpus folded into index space against a fixed dictionary.
+
+    An edge's transition class is the tuple of its active bigram rows;
+    the edges of one class share one transition matrix.
+    """
 
     bounds: list[tuple[int, int]]
     activations: sparse.csr_matrix  # tokens x unigram strings
-    bi_rows: list[list[tuple[int, ...]]]
-    gold: list[np.ndarray]
-    empirical: np.ndarray
+    transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
+    empirical: np.ndarray | None  # gold feature counts, when labeled
     n_labels: int
     batches: list[_Batch]
-    ragged: list[int]  # sentence indices left to the per-sentence path
 
 
 def _encode(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     dictionary: FeatureDictionary,
-    label_column: int,
+    label_column: int | None,
 ) -> _Encoded:
+    """Fold a corpus into index space; gold feature counts are taken only
+    when a label column is given."""
     L = dictionary.n_labels
     n_uni = len(dictionary.uni_strings)
     uni_block = n_uni * L
-    n_weights = dictionary.n_weights
-    empirical = np.zeros(n_weights)
+    empirical = None if label_column is None else np.zeros(dictionary.n_weights)
     rows: list[int] = []
     cols: list[int] = []
+    classes: dict[tuple[int, ...], int] = {}
+    edge_classes: list[int] = []
     bounds = []
-    bi_rows = []
-    gold = []
     offset = 0
     for sentence in corpus.sentences:
-        T = len(sentence)
-        labels = []
-        for token in sentence.tokens:
-            index = dictionary.label_index(token.columns[label_column])
-            if index is None:
-                raise UnknownLabelError(
-                    "label %r not in the model alphabet" % token.columns[label_column]
-                )
-            labels.append(index)
-        y = np.asarray(labels, dtype=int)
+        y = []
+        if empirical is not None:
+            for token in sentence.tokens:
+                index = dictionary.label_index(token.columns[label_column])
+                if index is None:
+                    raise UnknownLabelError(
+                        "label %r not in the model alphabet"
+                        % token.columns[label_column]
+                    )
+                y.append(index)
         uni, bi = active_features(templates, sentence)
         for t, strings in enumerate(uni):
             for s in strings:
@@ -226,71 +243,128 @@ def _encode(
                 if base is not None:
                     rows.append(offset + t)
                     cols.append(base // L)
-                    empirical[base + y[t]] += 1.0
-        sent_bi = []
+                    if empirical is not None:
+                        empirical[base + y[t]] += 1.0
         for t, strings in enumerate(bi):
             active = []
             for s in strings:
                 base = dictionary.bigram_base(s)
                 if base is not None:
-                    row = (base - uni_block) // (L * L)
-                    active.append(row)
-                    empirical[base + y[t] * L + y[t + 1]] += 1.0
-            sent_bi.append(tuple(active))
-        if sent_bi and all(len(active) == 1 for active in sent_bi):
-            # one row per edge: the objective can use fancy indexing
-            sent_bi = np.asarray([active[0] for active in sent_bi], dtype=int)
-        bounds.append((offset, offset + T))
-        bi_rows.append(sent_bi)
-        gold.append(y)
-        offset += T
+                    active.append((base - uni_block) // (L * L))
+                    if empirical is not None:
+                        empirical[base + y[t] * L + y[t + 1]] += 1.0
+            edge_classes.append(classes.setdefault(tuple(active), len(classes)))
+        bounds.append((offset, offset + len(sentence)))
+        offset += len(sentence)
     activations = sparse.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(offset, n_uni)
     )
-    batches, ragged = _batch_plan(bounds, bi_rows, gold, L)
-    return _Encoded(
-        bounds, activations, bi_rows, gold, empirical, L, batches, ragged
+    members = [(k, row) for active, k in classes.items() for row in active]
+    transitions = sparse.csr_matrix(
+        (np.ones(len(members)),
+         ([k for k, _ in members], [row for _, row in members])),
+        shape=(len(classes), len(dictionary.bi_strings)),
     )
+    batches = _batch_plan(bounds, np.asarray(edge_classes, dtype=np.intp), L)
+    return _Encoded(bounds, activations, transitions, empirical, L, batches)
 
 
-# Cap on the edge-tensor size of one batch, to bound peak memory.
-_BATCH_CELL_CAP = 8_000_000
+# Cap on the cells (sentences x positions x labels) of one batch, to bound
+# the memory of the forward and backward tables.
+_BATCH_CELL_CAP = 2_000_000
 
 
-def _batch_plan(bounds, bi_rows, gold, n_labels):
-    """Group uniform same-length sentences for the vectorized objective."""
+def _batch_plan(bounds, edge_classes, n_labels):
+    """Group same-length sentences for the vectorized forward-backward."""
     by_length: dict[int, list[int]] = {}
-    ragged: list[int] = []
-    for i, sent_bi in enumerate(bi_rows):
-        if isinstance(sent_bi, np.ndarray):
-            start, end = bounds[i]
-            by_length.setdefault(end - start, []).append(i)
-        else:
-            ragged.append(i)
+    for i, (start, end) in enumerate(bounds):
+        by_length.setdefault(end - start, []).append(i)
     batches = []
     for T in sorted(by_length):
-        indices = by_length[T]
-        edge_cells = max(1, (T - 1) * n_labels * n_labels)
-        step = max(1, _BATCH_CELL_CAP // edge_cells)
+        indices = np.asarray(by_length[T])
+        step = max(1, _BATCH_CELL_CAP // (T * n_labels))
         for lo in range(0, len(indices), step):
             chunk = indices[lo : lo + step]
             starts = np.asarray([bounds[i][0] for i in chunk])
-            batches.append(
-                _Batch(
-                    token_index=starts[:, None] + np.arange(T)[None, :],
-                    rows=np.stack([bi_rows[i] for i in chunk]),
-                    y=np.stack([gold[i] for i in chunk]),
-                )
-            )
-    return batches, ragged
+            # sentence i's edges start at flat edge index start_i - i
+            batches.append(_Batch(
+                token_index=starts[:, None] + np.arange(T),
+                classes=edge_classes[(starts - chunk)[:, None] + np.arange(T - 1)],
+            ))
+    return batches
+
+
+# The scaled recursion runs when the largest unary-row range plus the
+# largest transition-matrix range plus log L stays below this many nats.
+# Then every scaled forward entry is at least exp(-690) ~ 1e-300 and every
+# scaled backward entry at most exp(690), so all stay normal doubles.
+_MAX_SPREAD = 690.0
+
+
+def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray):
+    """Exact forward-backward over a batch of same-length chains.
+
+    U is (B, T, L) unary scores, P is (K, L, L) transition scores per
+    class and classes is (B, T-1), the class of each edge.  Returns log Z
+    (B,), node marginals (B, T, L) and the expected label-pair counts of
+    each class, summed over the batch's edges (K, L, L).
+    """
+    B, T, L = U.shape
+    u_max = U.max(axis=2, keepdims=True)
+    p_max = P.max(axis=(1, 2), keepdims=True)
+    spread = ((u_max - U.min(axis=2, keepdims=True)).max(initial=0.0)
+              + (p_max - P.min(axis=(1, 2), keepdims=True)).max(initial=0.0))
+    if not spread + np.log(L) < _MAX_SPREAD:
+        log_z, node, edge = _batched_forward_backward(U, P[classes])
+        expected = np.zeros(P.shape)
+        np.add.at(expected, classes.ravel(), edge.reshape(-1, L, L))
+        return log_z, node, expected
+    psi = np.exp(U - u_max)
+    E = np.exp(P - p_max)
+    alpha = np.empty_like(psi)
+    scale = np.empty((B, T))
+    a = psi[:, 0]
+    for t in range(T):
+        if t:
+            a = _times(alpha[:, t - 1], E, classes[:, t - 1]) * psi[:, t]
+        scale[:, t] = a.sum(axis=1)
+        alpha[:, t] = a / scale[:, t, None]
+    beta = np.empty_like(psi)
+    beta[:, T - 1] = 1.0
+    right = np.empty((B, T - 1, L))  # psi * beta / scale after each edge
+    for t in range(T - 2, -1, -1):
+        right[:, t] = psi[:, t + 1] * beta[:, t + 1] / scale[:, t + 1, None]
+        beta[:, t] = _times(right[:, t], E.transpose(0, 2, 1), classes[:, t])
+    log_z = (np.log(scale).sum(axis=1) + u_max.sum(axis=(1, 2))
+             + p_max.ravel()[classes].sum(axis=1))
+    expected = np.zeros(P.shape)
+    left_rows = alpha[:, :-1].reshape(-1, L)
+    right_rows = right.reshape(-1, L)
+    flat = classes.ravel()
+    for k in np.unique(flat):
+        edges = flat == k
+        expected[k] = E[k] * (left_rows[edges].T @ right_rows[edges])
+    return log_z, alpha * beta, expected
+
+
+def _times(vectors: np.ndarray, matrices: np.ndarray, classes: np.ndarray):
+    """Row b of vectors times matrices[classes[b]], one product per class."""
+    if len(matrices) == 1:
+        return vectors @ matrices[0]
+    out = np.empty_like(vectors)
+    for k in np.unique(classes):
+        rows = classes == k
+        out[rows] = vectors[rows] @ matrices[k]
+    return out
 
 
 def _batched_forward_backward(U: np.ndarray, P: np.ndarray):
-    """forward_backward over a stack of same-length lattices.
+    """Log-domain forward-backward over a stack of same-length lattices.
 
     U is (B, T, L) and P is (B, T-1, L, L); returns log_z (B,), node
-    (B, T, L), and edge (B, T-1, L, L) with the exact per-lattice
-    recursions, just advanced in lockstep.
+    (B, T, L), and edge (B, T-1, L, L).  It stays finite at any finite
+    scores, at the cost of an exp over the whole edge tensor, so it runs
+    only on batches too spread for the scaled recursion.
     """
     B, T, L = U.shape
     alpha = np.empty((B, T, L))
@@ -325,57 +399,40 @@ def _batched_forward_backward(U: np.ndarray, P: np.ndarray):
     return log_z, node, edge
 
 
-def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):
-    """Regularized log-likelihood and its gradient over the whole corpus."""
+def _expectations(weights: np.ndarray, enc: _Encoded):
+    """Summed log Z, node marginals (tokens x L) and expected label-pair
+    counts per bigram string (strings x L x L) at the given weights."""
     L = enc.n_labels
     n_uni = enc.activations.shape[1]
     w_uni = weights[: n_uni * L].reshape(n_uni, L)
-    w_bi = weights[n_uni * L :].reshape(-1, L, L)
-    n_bi = w_bi.shape[0]
-    unary_all = enc.activations @ w_uni
-    node_all = np.empty_like(unary_all)
-    expected_bi = np.zeros((n_bi, L, L))
-    value = 0.0
+    w_bi = weights[n_uni * L :].reshape(-1, L * L)
+    P = (enc.transitions @ w_bi).reshape(-1, L, L)
+    unary = enc.activations @ w_uni
+    node = np.empty_like(unary)
+    per_class = np.zeros_like(P)
+    log_z = 0.0
     for batch in enc.batches:
-        U = unary_all[batch.token_index]
-        P = w_bi[batch.rows]
-        log_z, node, edge = _batched_forward_backward(U, P)
-        B, T = batch.y.shape
-        b_ar = np.arange(B)[:, None]
-        gold_score = U[b_ar, np.arange(T)[None, :], batch.y].sum()
-        if T > 1:
-            gold_score += P[
-                b_ar, np.arange(T - 1)[None, :],
-                batch.y[:, :-1], batch.y[:, 1:],
-            ].sum()
-        value += float(gold_score - log_z.sum())
-        node_all[batch.token_index] = node
-        if n_bi == 1:
-            expected_bi[0] += edge.sum(axis=(0, 1))
-        else:
-            np.add.at(
-                expected_bi, batch.rows.ravel(), edge.reshape(-1, L, L)
-            )
-    for i in enc.ragged:
-        start, end = enc.bounds[i]
-        sent_bi, y = enc.bi_rows[i], enc.gold[i]
-        U = unary_all[start:end]
-        T = end - start
-        P = np.zeros((T - 1, L, L))
-        for t, active in enumerate(sent_bi):
-            for row in active:
-                P[t] += w_bi[row]
-        lattice = Lattice(U, P)
-        log_z, node, edge = forward_backward(lattice)
-        value += sequence_score(lattice, y) - log_z
-        node_all[start:end] = node
-        for t, active in enumerate(sent_bi):
-            for row in active:
-                expected_bi[row] += edge[t]
+        z, batch_node, expected = _forward_backward(
+            unary[batch.token_index], P, batch.classes
+        )
+        log_z += float(z.sum())
+        node[batch.token_index] = batch_node
+        per_class += expected
+    expected_bi = enc.transitions.T @ per_class.reshape(-1, L * L)
+    return log_z, node, expected_bi
+
+
+def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):
+    """Regularized log-likelihood and its gradient over the whole corpus."""
+    log_z, node, expected_bi = _expectations(weights, enc)
     expected = np.concatenate(
-        [(enc.activations.T @ node_all).ravel(), expected_bi.ravel()]
+        [(enc.activations.T @ node).ravel(), expected_bi.ravel()]
     )
-    value -= float(weights @ weights) / (2.0 * sigma * sigma)
+    # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
+    # several threads that then spin, slowing the optimizer's work between
+    # calls (on two cores, pipeline VIII's training took ~1.8x as long).
+    value = float(np.einsum("i,i->", enc.empirical, weights)) - log_z
+    value -= float(np.einsum("i,i->", weights, weights)) / (2.0 * sigma * sigma)
     gradient = enc.empirical - expected - weights / (sigma * sigma)
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
         raise NonFiniteObjectiveError("objective or gradient not finite")
@@ -432,19 +489,18 @@ def train(
     weights = x0
     iterations = 0
     if config.max_iterations > 0 and dictionary.n_weights > 0:
-        recent: dict[bytes, float] = {}
+        last = [None, None]  # a copy of the latest point evaluated, its value
 
         def fun(x):
             value, gradient = _objective(x, enc, config.sigma)
-            if len(recent) > 8:
-                recent.clear()
-            recent[x.tobytes()] = value
+            last[:] = [x.copy(), value]
             return -value, -gradient
 
         def record(xk):
-            cached = recent.get(np.asarray(xk).tobytes())
-            trace.append(cached if cached is not None
-                         else _objective(np.asarray(xk), enc, config.sigma)[0])
+            x, value = last
+            if not np.array_equal(x, xk):
+                value = _objective(np.asarray(xk), enc, config.sigma)[0]
+            trace.append(value)
 
         result = minimize(
             fun,
@@ -483,19 +539,16 @@ def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
 
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
-    out = []
-    for sentence in corpus.sentences:
-        _, node, _ = forward_backward(build_lattice(model, sentence))
-        out.append(node)
-    return out
+    _check_width(model.templates, corpus.schema.width)
+    enc = _encode(corpus, model.templates, model.dictionary, None)
+    _, node, _ = _expectations(model.weights, enc)
+    return [node[start:end] for start, end in enc.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
     out = []
-    for sentence in corpus.sentences:
-        lattice = build_lattice(model, sentence)
-        path = viterbi(lattice)
-        _, node, _ = forward_backward(lattice)
+    for sentence, node in zip(corpus.sentences, marginals(model, corpus)):
+        path = viterbi(build_lattice(model, sentence))
         out.append([float(node[t, y]) for t, y in enumerate(path)])
     return out

@@ -64,6 +64,12 @@ def test_parse_crlf_lines():
     assert c.sentences[1].tokens[0].columns == ("b", "b", "Y")
 
 
+def test_parse_rejects_a_carriage_return_inside_a_line():
+    for text in ("a\rb\ta\tX\n", "a\ta\tX\r\nb\rb\tb\tY\n", "# a\rb\nc\tc\tX\n"):
+        with pytest.raises(CorpusFormatError, match="carriage return"):
+            parse_corpus(text, S3)
+
+
 def test_parse_normalizes_to_nfc():
     # e + combining acute vs precomposed e-acute
     decomposed = "été\tété\tN\n"

@@ -12,6 +12,7 @@ from chaintag.corpus import ColumnSchema, Corpus, parse_corpus
 from chaintag.crf import (
     Lattice,
     TrainingConfig,
+    _batched_forward_backward,
     build_lattice,
     confidence,
     forward_backward,
@@ -28,7 +29,7 @@ from chaintag.errors import (
     LengthMismatchError,
     UnknownLabelError,
 )
-from chaintag.templates import default_templates, parse_templates
+from chaintag.templates import active_features, default_templates, parse_templates
 
 SCHEMA = ColumnSchema(("mot", "tag"))
 
@@ -270,6 +271,37 @@ class TestForwardBackward:
             total += p
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @given(st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=5, deadline=None)
+    def test_scaled_and_log_domain_recursions_agree(self, seed):
+        rng = np.random.default_rng(seed + 40_000)
+        lattice = random_lattice(rng, 20, 112)
+        log_z, node, edge = forward_backward(lattice)
+        ref_z, ref_node, ref_edge = _batched_forward_backward(
+            lattice.unary[None], lattice.pairwise[None]
+        )
+        assert log_z == pytest.approx(ref_z[0], rel=1e-12)
+        assert np.abs(node - ref_node[0]).max() < 1e-11
+        assert np.abs(edge - ref_edge[0]).max() < 1e-11
+
+    def test_underflow_spread_over_positions_takes_the_log_domain(self):
+        # Label 1 starts 800 nats behind and gains 23 per position, and a
+        # switch costs 1000.  The scaled forward vector drops label 1 to 0
+        # at once while every scale factor stays ~1e-10, so only the score
+        # spread, not the scale factors, shows the scaled result is wrong.
+        T = 50
+        unary = np.tile([-23.0, 0.0], (T, 1))
+        unary[0] = [0.0, -800.0]
+        pairwise = np.tile([[0.0, -1000.0], [-1000.0, 0.0]], (T - 1, 1, 1))
+        log_z, node, edge = forward_backward(Lattice(unary, pairwise))
+        ref_z, ref_node, ref_edge = _batched_forward_backward(
+            unary[None], pairwise[None]
+        )
+        assert log_z == pytest.approx(ref_z[0], rel=1e-12)
+        assert log_z == pytest.approx(-800.0, abs=1e-6)
+        assert node == pytest.approx(ref_node[0], abs=1e-12)
+        assert edge == pytest.approx(ref_edge[0], abs=1e-12)
+
 
 class TestViterbi:
     def test_zero_lattice_takes_lowest_indices(self):
@@ -333,26 +365,79 @@ class TestObjective:
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=12, deadline=None)
     def test_gradient_matches_central_differences(self, seed):
-        rng = np.random.default_rng(seed)
         corpus = corpus_of([
             [("le", "D"), ("sel", "N")],
             [("la", "D"), ("mer", "N"), ("et", "C")],
             [("sel", "N")],
+            [("la", "D"), ("sel", "N")],
         ])
-        model = small_model(corpus)
-        weights = rng.normal(scale=0.5, size=model.dictionary.n_weights)
+        # Every edge has one active bigram row; some edges have none (B2
+        # strings seen once fall under cutoff 2); every edge has two.
+        for template_text, cutoff in [
+            ("U00:%x[0,0]\nB\n", 1),
+            ("U00:%x[0,0]\nB2:%x[0,0]\n", 2),
+            ("U00:%x[0,0]\nB\nB1:%x[-1,0]\n", 1),
+        ]:
+            rng = np.random.default_rng(seed)
+            model = small_model(corpus, template_text, cutoff=cutoff)
+            weights = rng.normal(scale=0.5, size=model.dictionary.n_weights)
+            model = replace(model, weights=weights)
+            sigma = 2.0
+            value, gradient = objective_and_gradient(model, corpus, sigma)
+            assert np.isfinite(value)
+            h = 1e-5
+            for i in range(len(weights)):
+                bump = np.zeros_like(weights)
+                bump[i] = h
+                up, _ = objective_and_gradient(replace(model, weights=weights + bump), corpus, sigma)
+                down, _ = objective_and_gradient(replace(model, weights=weights - bump), corpus, sigma)
+                numeric = (up - down) / (2 * h)
+                assert gradient[i] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
+
+    @given(st.integers(min_value=0, max_value=500))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_the_log_domain_reference_at_extreme_weights(self, seed):
+        """Scores this far apart underflow the scaled recursion's doubles,
+        so the objective must take the log-domain path and still agree
+        with a per-sentence reference built on it."""
+        rng = np.random.default_rng(seed)
+        corpus = corpus_of([
+            [("le", "D"), ("sel", "N")],
+            [("la", "D"), ("mer", "N"), ("et", "C"), ("le", "D"), ("sel", "N")],
+            [("sel", "N")],
+        ])
+        model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
+        d = model.dictionary
+        weights = rng.uniform(-1e3, 1e3, size=d.n_weights)
         model = replace(model, weights=weights)
-        sigma = 2.0
+        sigma = 30.0
         value, gradient = objective_and_gradient(model, corpus, sigma)
-        assert np.isfinite(value)
-        h = 1e-5
-        for i in range(len(weights)):
-            bump = np.zeros_like(weights)
-            bump[i] = h
-            up, _ = objective_and_gradient(replace(model, weights=weights + bump), corpus, sigma)
-            down, _ = objective_and_gradient(replace(model, weights=weights - bump), corpus, sigma)
-            numeric = (up - down) / (2 * h)
-            assert gradient[i] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
+        ref_value = -float(weights @ weights) / (2 * sigma * sigma)
+        ref_gradient = -weights / (sigma * sigma)
+        for sentence, labels in zip(corpus.sentences, corpus.sentence_column("tag")):
+            y = [d.label_index(label) for label in labels]
+            lattice = build_lattice(model, sentence)
+            log_z, node, edge = _batched_forward_backward(
+                lattice.unary[None], lattice.pairwise[None]
+            )
+            ref_value += sequence_score(lattice, y) - log_z[0]
+            uni, bi = active_features(model.templates, sentence)
+            for t, strings in enumerate(uni):
+                for s in strings:
+                    if d.unigram_base(s) is not None:
+                        block = d.unigram_index(s, 0)
+                        ref_gradient[block + y[t]] += 1.0
+                        ref_gradient[block : block + d.n_labels] -= node[0, t]
+            for t, strings in enumerate(bi):
+                for s in strings:
+                    if d.bigram_base(s) is not None:
+                        block = d.bigram_index(s, 0, 0)
+                        ref_gradient[d.bigram_index(s, y[t], y[t + 1])] += 1.0
+                        ref_gradient[block : block + d.n_labels ** 2] -= edge[0, t].ravel()
+        assert np.isfinite(value) and np.isfinite(gradient).all()
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        scale = np.abs(ref_gradient).max()
+        assert np.abs(gradient - ref_gradient).max() <= 1e-9 * scale
 
     def test_unknown_gold_label_rejected(self):
         model = small_model(OMELETTE)

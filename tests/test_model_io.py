@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chaintag.corpus import ColumnSchema, parse_corpus
+from chaintag.corpus import ColumnSchema, load_corpus, parse_corpus, save_corpus
 from chaintag.crf import TrainingConfig, tag, train
-from chaintag.errors import EmptyCorpusError, ModelFormatError
+from chaintag.errors import CorpusFormatError, EmptyCorpusError, ModelFormatError
 from chaintag.model_io import (
     format_model,
     load_model,
@@ -67,25 +67,37 @@ CELLS = st.text(
 )
 
 
-@given(st.lists(
+@given(sentences=st.lists(
     st.lists(st.tuples(CELLS, CELLS), min_size=1, max_size=3),
     min_size=1,
     max_size=3,
 ))
-@settings(max_examples=25, deadline=None)
-def test_any_parsed_corpus_round_trips_through_a_model(sentences):
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_parsed_corpus_round_trips_through_a_model(sentences, tmp_path):
     text = "\n\n".join(
         "\n".join("%s\t%s" % (word, label) for word, label in sentence)
         for sentence in sentences
     ) + "\n"
+    schema = ColumnSchema(("mot", "tag"))
     try:
-        corpus = parse_corpus(text, ColumnSchema(("mot", "tag")))
+        corpus = parse_corpus(text, schema)
     except EmptyCorpusError:  # every line began with "#", a header
         return
+    except CorpusFormatError:
+        # a carriage return that no CRLF ending accounts for
+        assert any("\r" in line.rstrip("\r") for line in text.split("\n"))
+        return
+    save_corpus(corpus, tmp_path / "c.tsv")
+    assert load_corpus(tmp_path / "c.tsv", schema) == corpus
     templates = parse_templates(default_templates([0]))
     model = train(corpus, templates, TrainingConfig(max_iterations=3))
-    loaded = parse_model(format_model(model))
-    assert tag(loaded, corpus) == tag(model, corpus)
+    assert tag(parse_model(format_model(model)), corpus) == tag(model, corpus)
+    save_model(model, tmp_path / "m.model")
+    assert tag(load_model(tmp_path / "m.model"), corpus) == tag(model, corpus)
 
 
 class TestValidation:
