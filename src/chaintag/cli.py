@@ -19,7 +19,12 @@ from .corpus import (
     save_corpus,
     write_corpus,
 )
-from .crf import TrainingConfig, tag as tag_corpus, train as train_model
+from .crf import (
+    UNCONVERGED,
+    TrainingConfig,
+    tag as tag_corpus,
+    train as train_model,
+)
 from .errors import ChaintagError, ColumnMismatchError, PipelineConfigError
 from .evaluation import cross_validate, format_report
 from .model_io import load_model, save_model
@@ -106,15 +111,16 @@ def cmd_train(args) -> int:
     corpus = _load_corpus(args.corpus, schema)
     model = train_model(corpus, templates, _training_config(args))
     save_model(model, args.model)
-    if model.trace:
-        print(
-            "trained %d iterations, objective %.6f -> %.6f, %d weights"
-            % (len(model.trace) - 1, model.trace[0], model.trace[-1],
-               model.weights.size),
-            file=sys.stderr,
-        )
-    else:
-        print("trained 0 iterations (zero-weight model)", file=sys.stderr)
+    print(
+        "trained %d iterations, %d objective calls, stopped: %s, "
+        "objective %.6f -> %.6f, %d weights"
+        % (model.iterations, model.evaluations, model.stop, model.trace[0],
+           model.trace[-1], model.weights.size),
+        file=sys.stderr,
+    )
+    if model.stop in UNCONVERGED:
+        print("warning: training did not converge (stopped by %s)" % model.stop,
+              file=sys.stderr)
     return 0
 
 

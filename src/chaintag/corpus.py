@@ -9,6 +9,7 @@ kept as the corpus provenance.  All text is NFC-normalized on the way in.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -116,6 +117,10 @@ class Corpus:
         return [[t.columns[c] for t in s.tokens] for s in self.sentences]
 
 
+# How templates spell a row before or after the sentence ("_B-1", "_B+2").
+_BOUNDARY_SENTINEL = re.compile(r"_B[-+][1-9][0-9]*")
+
+
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
@@ -126,8 +131,9 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
     Raises RaggedRowError (with line number) when a token line does not
     have exactly schema.width fields, CorpusFormatError when a carriage
     return is left inside a line once a CRLF ending is stripped (files
-    are read with universal newlines, so it could not be read back),
-    EmptyCorpusError when no token survives.
+    are read with universal newlines, so it could not be read back) or
+    when a cell is spelled like a boundary sentinel (features would mix it
+    up with the padding), EmptyCorpusError when no token survives.
     """
     text = _nfc(text)
     width = schema.width
@@ -154,6 +160,10 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
             raise RaggedRowError(lineno, width, len(fields))
         if not fields[0]:
             raise CorpusFormatError("line %d: empty surface form" % lineno)
+        if "_B" in line and any(map(_BOUNDARY_SENTINEL.fullmatch, fields)):
+            raise CorpusFormatError(
+                "line %d: a cell is spelled like a boundary sentinel" % lineno
+            )
         current.append(Token(tuple(fields)))
     if current:
         sentences.append(Sentence(tuple(current)))

@@ -16,19 +16,26 @@ of a batch spread less than about 690 nats; a batch that spreads wider
 is recomputed by the log-domain recursion, which is also the reference
 the tests compare against.
 
-Training maximizes the L2-regularized conditional log-likelihood with a
-batch quasi-Newton optimizer; the objective and gradient are exact, so
-training is deterministic for fixed inputs.
+Training maximizes the L2-regularized conditional log-likelihood, whose
+value and gradient are exact, with the L-BFGS of ``minimize``: the
+two-loop recursion over the last 10 steps (Liu & Nocedal 1989, as in
+liblbfgs and CRFsuite), run with in-place level-1 BLAS on preallocated
+step and gradient-change rows, and a Moré–Thuente-style line search for
+a step meeting the strong Wolfe conditions.  Its constants and stopping
+tests are L-BFGS-B's.  Training is deterministic for fixed inputs, and
+the model keeps the objective trace, the number of objective calls and
+the optimizer's stop reason.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
+from scipy.linalg.blas import daxpy, ddot
 
 from .corpus import Corpus, Sentence
 from .errors import (
@@ -84,6 +91,8 @@ class LinearChainModel:
     sigma: float
     iterations: int
     trace: tuple[float, ...] = ()
+    stop: str = ""  # the optimizer's reason for stopping, see minimize
+    evaluations: int = 0  # objective calls made in training
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -458,6 +467,117 @@ def _label_column(corpus: Corpus, label_column: int | None) -> int:
     return column
 
 
+# --- optimizer ---------------------------------------------------------
+
+# As in L-BFGS-B: correction pairs kept, the line search's sufficient
+# decrease and curvature constants, and the gradient entry that counts as 0.
+_MEMORY = 10
+_C1, _C2 = 1e-3, 0.9
+_GRADIENT_TOLERANCE = 1e-9
+_MAX_TRIALS = 20
+
+# Stop reasons at a point that is not known to be a minimum.
+UNCONVERGED = ("max_iterations", "line search")
+
+
+def minimize(fun, x0, max_iterations, tolerance, callback=None):
+    """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
+    directions from the last 10 steps by the two-loop recursion (Liu &
+    Nocedal 1989).  Stops as L-BFGS-B does: "converged" once a step lowers
+    the value by at most tolerance * max(|old|, |new|, 1), "gradient" once
+    no gradient entry exceeds 1e-9, "max_iterations", or "line search".
+    callback(x, value) sees x0 and each accepted point.  Returns the point,
+    the number of steps, the number of calls of fun and the stop reason."""
+    x, (f, g), calls = x0, fun(x0), 1
+    if callback is not None:
+        callback(x, f)
+    S, Y = np.empty((_MEMORY, x.size)), np.empty((_MEMORY, x.size))
+    rho, alpha = np.empty(_MEMORY), np.empty(_MEMORY)
+    for iteration in itertools.count():
+        if np.abs(g).max(initial=0.0) <= _GRADIENT_TOLERANCE:
+            return x, iteration, calls, "gradient"
+        if iteration and f_old - f <= tolerance * max(abs(f_old), abs(f), 1.0):
+            return x, iteration, calls, "converged"
+        if iteration == max_iterations:
+            return x, iteration, calls, "max_iterations"
+        d = -g
+        newest = range(iteration - 1, max(iteration - _MEMORY, 0) - 1, -1)
+        slots = [i % _MEMORY for i in newest]
+        for k in slots:
+            alpha[k] = rho[k] * ddot(S[k], d)
+            daxpy(Y[k], d, a=-alpha[k])
+        if slots:  # scale by s'y / y'y of the newest pair
+            d *= 1.0 / (rho[slots[0]] * ddot(Y[slots[0]], Y[slots[0]]))
+        for k in reversed(slots):
+            daxpy(S[k], d, a=alpha[k] - rho[k] * ddot(Y[k], d))
+        step = 1.0 if iteration else 1.0 / np.sqrt(ddot(g, g))
+        point, f_new, g_new, trials = _line_search(fun, x, f, g, d, step)
+        calls += trials
+        if point is None:
+            return x, iteration, calls, "line search"
+        k = iteration % _MEMORY
+        np.subtract(point, x, out=S[k])
+        np.subtract(g_new, g, out=Y[k])
+        rho[k] = 1.0 / ddot(Y[k], S[k])  # s'y > 0 on a strictly convex fun
+        x, f_old, f, g = point, f, f_new, g_new
+        if callback is not None:
+            callback(x, f)
+
+
+def _line_search(fun, x, f0, g0, d, step):
+    """A step along d meeting the strong Wolfe conditions, searched in the
+    manner of Moré & Thuente: extrapolate by cubic steps until a minimizer
+    is bracketed, then zoom by safeguarded cubic steps or bisection.
+    Returns the point, its value, its gradient and the number of calls;
+    the point is None when 20 trials find no such step."""
+    slope0 = ddot(g0, d)
+    lo, hi = (0.0, f0, slope0), None  # (step, value, slope); lo is lowest
+    step = np.float64(step)
+    for trial in range(1, _MAX_TRIALS + 1):
+        point = daxpy(d, x.copy(), a=step)
+        f, g = fun(point)
+        now = (step, f, ddot(g, d))
+        decreased = f <= f0 + _C1 * step * slope0
+        if decreased and abs(now[2]) <= -_C2 * slope0:
+            return point, f, g, trial
+        if not decreased or f >= lo[1]:
+            hi = now
+        elif now[2] * (hi[0] - lo[0] if hi else 1.0) >= 0:
+            lo, hi = now, lo
+        else:
+            previous, lo = lo, now
+        if hi is None:  # extrapolate within MINPACK's bounds
+            gap = step - previous[0]
+            low, high = step + 1.1 * gap, step + 4.0 * gap
+            cubic = _cubic(previous, lo)
+            step = min(max(cubic, low), high) if cubic > step else high
+        else:
+            a, b = min(lo[0], hi[0]), max(lo[0], hi[0])
+            cubic = _cubic(lo, hi)
+            if hi is now:  # the value rose: MINPACK averages in a nearer quadratic step
+                gap = step - lo[0]
+                quadratic = lo[0] + lo[2] / ((lo[1] - f) / gap + lo[2]) / 2 * gap
+                if abs(quadratic - lo[0]) < abs(cubic - lo[0]):
+                    cubic = (cubic + quadratic) / 2
+            inner = a + 0.1 * (b - a) <= cubic <= b - 0.1 * (b - a)
+            step = cubic if inner else (a + b) / 2
+            if not a < step < b:  # rounding leaves no step to try
+                break
+    return None, None, None, trial
+
+
+@np.errstate(all="ignore")
+def _cubic(a, b):
+    """Minimizer of the cubic through the values and slopes at a and b;
+    nan or infinite when that cubic has no minimizer."""
+    (s, fa, ga), (t, fb, gb) = a, b
+    theta = 3.0 * (fa - fb) / (t - s) + ga + gb
+    scale = max(abs(theta), abs(ga), abs(gb))
+    gamma = scale * np.sqrt(max(0.0, (theta / scale) ** 2 - ga / scale * (gb / scale)))
+    gamma = -gamma if t < s else gamma
+    return s + (gamma - ga + theta) / (2.0 * gamma - ga + gb) * (t - s)
+
+
 def train(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
@@ -468,7 +588,9 @@ def train(
 
     The label column defaults to the last column; templates may only read
     the columns before it.  max_iterations=0 returns the zero-weight
-    model.  The objective trace over accepted steps is kept on the model.
+    model.  The objective at the start and after every accepted step, the
+    number of objective calls and the optimizer's stop reason are kept on
+    the model.
     """
     config = config or TrainingConfig()
     if corpus.n_tokens == 0:
@@ -483,40 +605,19 @@ def train(
     _check_width(templates, corpus.schema.width)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff)
     enc = _encode(corpus, templates, dictionary, column)
-    x0 = np.zeros(dictionary.n_weights)
-    value0, _ = _objective(x0, enc, config.sigma)
-    trace = [value0]
-    weights = x0
-    iterations = 0
-    if config.max_iterations > 0 and dictionary.n_weights > 0:
-        last = [None, None]  # a copy of the latest point evaluated, its value
+    trace: list[float] = []
 
-        def fun(x):
-            value, gradient = _objective(x, enc, config.sigma)
-            last[:] = [x.copy(), value]
-            return -value, -gradient
+    def fun(x):
+        value, gradient = _objective(x, enc, config.sigma)
+        return -value, -gradient
 
-        def record(xk):
-            x, value = last
-            if not np.array_equal(x, xk):
-                value = _objective(np.asarray(xk), enc, config.sigma)[0]
-            trace.append(value)
-
-        result = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=record,
-            options={
-                "maxiter": config.max_iterations,
-                "ftol": config.tolerance,
-                "gtol": 1e-9,
-                "maxcor": 10,
-            },
-        )
-        weights = result.x
-        iterations = int(result.nit)
+    weights, iterations, evaluations, stop = minimize(
+        fun,
+        np.zeros(dictionary.n_weights),
+        config.max_iterations,
+        config.tolerance,
+        callback=lambda x, f: trace.append(-f),
+    )
     return LinearChainModel(
         dictionary=dictionary,
         templates=tuple(templates),
@@ -524,6 +625,8 @@ def train(
         sigma=config.sigma,
         iterations=iterations,
         trace=tuple(trace),
+        stop=stop,
+        evaluations=evaluations,
     )
 
 

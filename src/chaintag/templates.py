@@ -4,7 +4,8 @@ Templates follow the CRF++ file syntax: one template per line, an id
 starting with 'U' (observation paired with the current label) or 'B'
 (observation paired with the previous/current label pair), and macros
 %x[row,col] substituting corpus cells relative to the current position.
-Rows outside the sentence substitute boundary sentinels.
+Rows outside the sentence substitute boundary sentinels ("_B-1" before,
+"_B+1" after), which parse_corpus refuses as cell values.
 
 The dictionary assigns dense weight indices in blocks: each unigram
 string owns one weight per label, each bigram string one weight per

@@ -102,6 +102,30 @@ def test_train_prints_a_trace_summary(toy_path, tmp_path, capsys):
     assert "objective" in captured.err
 
 
+def test_train_warns_when_the_optimizer_does_not_converge(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("le\tD\nsel\tN\n\nla\tD\nmer\tN\n", encoding="utf-8")
+    argv = ["train", str(corpus), "--columns", "mot,tag",
+            "--model", str(tmp_path / "m")]
+    assert run_cli(argv + ["--max-iterations", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "trained 1 iterations" in err and "stopped: max_iterations" in err
+    assert "warning: training did not converge" in err
+    assert run_cli(argv) == 0
+    err = capsys.readouterr().err
+    assert "objective calls, stopped: converged" in err
+    assert "warning" not in err
+
+
+def test_train_rejects_a_cell_spelled_like_a_boundary_sentinel(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("le\tD\n_B-1\tN\n", encoding="utf-8")
+    code = run_cli(["train", str(corpus), "--columns", "mot,tag",
+                    "--model", str(tmp_path / "m")])
+    assert code == 1
+    assert "boundary sentinel" in capsys.readouterr().err
+
+
 def test_train_is_deterministic(toy_path, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for path in (a, b):

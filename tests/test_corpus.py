@@ -70,6 +70,15 @@ def test_parse_rejects_a_carriage_return_inside_a_line():
             parse_corpus(text, S3)
 
 
+def test_parse_rejects_a_cell_spelled_like_a_boundary_sentinel():
+    for cell in ("_B-1", "_B+1", "_B-12"):
+        for text in (cell + "\ta\tX\n", "a\t%s\tX\n" % cell, "a\ta\t%s\n" % cell):
+            with pytest.raises(CorpusFormatError, match="boundary sentinel"):
+                parse_corpus(text, S3)
+    for cell in ("_B", "_B-", "_B+0", "_B-1x", "x_B-1", "_b-1"):
+        assert parse_corpus(cell + "\ta\tX\n", S3).sentences[0].cell(0, 0) == cell
+
+
 def test_parse_normalizes_to_nfc():
     # e + combining acute vs precomposed e-acute
     decomposed = "été\tété\tN\n"

@@ -2,14 +2,18 @@
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from chaintag import crf
 from chaintag.corpus import ColumnSchema, Corpus, parse_corpus
 from chaintag.crf import (
+    UNCONVERGED,
     Lattice,
     TrainingConfig,
     _batched_forward_backward,
@@ -17,6 +21,7 @@ from chaintag.crf import (
     confidence,
     forward_backward,
     marginals,
+    minimize,
     objective_and_gradient,
     sequence_score,
     tag,
@@ -499,6 +504,131 @@ class TestTrain:
     def test_template_reading_label_column_rejected(self):
         with pytest.raises(ColumnMismatchError):
             train(OMELETTE, parse_templates("U00:%x[0,1]\n"))
+
+    def test_trace_and_call_count_match_the_optimizer(self, monkeypatch):
+        calls = []
+        objective = crf._objective
+
+        def counted(*args):
+            calls.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(crf, "_objective", counted)
+        templates = parse_templates(default_templates([0]))
+        model = train(SEPARABLE, templates, TrainingConfig(max_iterations=50))
+        assert len(model.trace) == model.iterations + 1
+        assert model.evaluations == len(calls)
+        assert model.stop not in UNCONVERGED
+
+    def test_iteration_cap_is_reported(self):
+        templates = parse_templates(default_templates([0]))
+        model = train(SEPARABLE, templates, TrainingConfig(max_iterations=1))
+        assert (model.iterations, model.stop) == (1, "max_iterations")
+        assert len(model.trace) == 2
+
+
+# --- optimizer --------------------------------------------------------
+
+
+def quadratic(A, b):
+    """f(x) = x'Ax/2 - b'x and its gradient."""
+    return lambda x: (float(x @ A @ x / 2 - b @ x), A @ x - b)
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("condition", [1.0, 1e2, 1e4])
+    def test_finds_the_minimizer_of_a_diagonal_quadratic(self, condition):
+        rng = np.random.default_rng(0)
+        a = np.logspace(0, np.log10(condition), 10)
+        c = rng.uniform(-5, 5, size=10)
+
+        def fun(x):  # minimum 0 at c
+            return float(a @ (x - c) ** 2 / 2), a * (x - c)
+
+        x, iterations, calls, stop = minimize(fun, np.zeros(10), 500, 1e-15)
+        assert stop not in UNCONVERGED
+        assert np.abs(x - c).max() <= 1e-6
+        assert calls >= iterations + 1
+
+    def test_zero_iterations_evaluate_once(self):
+        x0 = np.ones(3)
+        x, iterations, calls, stop = minimize(
+            quadratic(np.eye(3), np.zeros(3)), x0, 0, 1e-5
+        )
+        assert x is x0
+        assert (iterations, calls, stop) == (0, 1, "max_iterations")
+
+    def test_a_vanishing_gradient_stops_at_once(self):
+        result = minimize(quadratic(np.eye(3), np.ones(3)), np.ones(3), 10, 1e-5)
+        assert result[1:] == (0, 1, "gradient")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        log_condition=st.floats(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_step_meets_strong_wolfe(self, seed, n, log_condition):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = Q @ np.diag(np.logspace(0, log_condition, n)) @ Q.T
+        b = rng.normal(size=n) * 10
+        fun = quadratic(A, b)
+        accepted = []
+        _, iterations, _, stop = minimize(
+            fun, rng.normal(size=n), 200, 1e-12,
+            callback=lambda x, f: accepted.append((x, f)),
+        )
+        assert len(accepted) == iterations + 1
+        assert stop != "max_iterations"
+        if stop == "line search":  # only once rounding hides any decrease
+            lowest = fun(np.linalg.solve(A, b))[0]
+            assert accepted[-1][1] - lowest <= 1e-10 * (1 + abs(lowest))
+        for (x0, f0), (x1, f1) in zip(accepted, accepted[1:]):
+            g0, g1 = fun(x0)[1], fun(x1)[1]
+            s = x1 - x0
+            slack = 1e-9 * (1 + abs(f0) + np.abs(g0).max() * np.abs(s).sum())
+            assert f1 == fun(x1)[0]
+            assert g0 @ s < 0
+            assert f1 <= f0 + 1e-3 * (g0 @ s) + slack
+            assert abs(g1 @ s) <= 0.9 * abs(g0 @ s) + slack
+
+
+def scipy_lbfgsb(fun, x0, max_iterations, tolerance, callback=None):
+    """The reference optimizer: scipy's L-BFGS-B with the same settings."""
+    result = scipy.optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-9,
+                 "maxcor": 10},
+    )
+    return result.x, int(result.nit), int(result.nfev), "reference"
+
+
+def wide_corpus(n_labels=24, n_sentences=40, seed=3):
+    """Words whose three-letter suffix decides one of many labels."""
+    rng = random.Random(seed)
+    suffixes = ["%c%c%c" % (97 + i % 26, 97 + i // 26, 122) for i in range(n_labels)]
+    return corpus_of([
+        [(rng.choice(["pa", "ro", "mi", "tek"]) + suffixes[y], "T%02d" % y)
+         for y in (rng.randrange(n_labels) for _ in range(rng.randint(1, 6)))]
+        for _ in range(n_sentences)
+    ])
+
+
+@pytest.mark.parametrize("corpus, config", [
+    (SEPARABLE, TrainingConfig(max_iterations=100)),
+    (wide_corpus(), TrainingConfig(sigma=10.0, max_iterations=60, tolerance=1e-7)),
+])
+def test_training_agrees_with_scipy_lbfgsb(corpus, config, monkeypatch):
+    templates = parse_templates(default_templates([0]))
+    model = train(corpus, templates, config)
+    monkeypatch.setattr(crf, "minimize", scipy_lbfgsb)
+    reference = train(corpus, templates, config)
+    assert abs(model.iterations - reference.iterations) <= 2
+    value = objective_and_gradient(model, corpus, config.sigma)[0]
+    expected = objective_and_gradient(reference, corpus, config.sigma)[0]
+    assert value == model.trace[-1]
+    assert abs(value - expected) <= 1e-6 * abs(expected)
 
 
 class TestTagging:
