@@ -121,6 +121,14 @@ class Corpus:
 _BOUNDARY_SENTINEL = re.compile(r"_B[-+][1-9][0-9]*")
 
 
+def first_sentinel(cells) -> str | None:
+    """The first cell spelled like a boundary sentinel, or None.  Features
+    would mix such a cell up with the padding outside a sentence."""
+    return next(
+        (c for c in cells if "_B" in c and _BOUNDARY_SENTINEL.fullmatch(c)), None
+    )
+
+
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
@@ -160,7 +168,7 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
             raise RaggedRowError(lineno, width, len(fields))
         if not fields[0]:
             raise CorpusFormatError("line %d: empty surface form" % lineno)
-        if "_B" in line and any(map(_BOUNDARY_SENTINEL.fullmatch, fields)):
+        if "_B" in line and first_sentinel(fields) is not None:
             raise CorpusFormatError(
                 "line %d: a cell is spelled like a boundary sentinel" % lineno
             )

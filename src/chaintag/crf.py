@@ -3,6 +3,15 @@
 A lattice holds log-domain scores: per-position per-label unigram scores
 and per-transition label-pair scores.  Viterbi works on those directly.
 
+Training, tagging and marginals first fold a corpus into index space:
+templates.index_features expands every template over all its sentences
+at once, and only the distinct strings are looked up in the dictionary.
+Each token becomes a row of active unigram blocks, so the unary scores
+are one sparse product with the unigram weights, and each edge a
+transition class, the tuple of its active bigram blocks, with one
+transition matrix per class.  Tagging runs Viterbi over batches of
+same-length sentences; viterbi(lattice) is its one-sentence case.
+
 Forward-backward uses the scaled probability-domain recursion (Sutton &
 McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
 the same).  Each unary row and each transition matrix is exponentiated
@@ -45,11 +54,13 @@ from .errors import (
     NonFiniteObjectiveError,
     UnknownLabelError,
 )
-from .templates import (
+from .templates import (  # noqa: F401 (bench/run.py traces crf.active_features)
     FeatureDictionary,
+    FeatureIndex,
     FeatureTemplate,
     active_features,
     build_dictionary,
+    index_features,
 )
 
 
@@ -117,26 +128,9 @@ def _check_width(templates: Sequence[FeatureTemplate], width: int) -> None:
 def build_lattice(model: LinearChainModel, sentence: Sentence) -> Lattice:
     """Sum the weights of firing features; unknown strings contribute 0."""
     _check_width(model.templates, len(sentence.tokens[0].columns))
-    d = model.dictionary
-    L = d.n_labels
-    T = len(sentence)
-    w_uni = model.weights[: len(d.uni_strings) * L].reshape(-1, L)
-    w_bi = model.weights[len(d.uni_strings) * L :].reshape(-1, L, L)
-    uni, bi = active_features(model.templates, sentence)
-    unary = np.zeros((T, L))
-    for t, strings in enumerate(uni):
-        for s in strings:
-            base = d.unigram_base(s)
-            if base is not None:
-                unary[t] += w_uni[base // L]
-    pairwise = np.zeros((T - 1, L, L))
-    for t, strings in enumerate(bi):
-        for s in strings:
-            base = d.bigram_base(s)
-            if base is not None:
-                row = (base - len(d.uni_strings) * L) // (L * L)
-                pairwise[t] += w_bi[row]
-    return Lattice(unary, pairwise)
+    enc = _encode((sentence,), model.templates, model.dictionary, None)
+    unary, P = _scores(model.weights, enc)
+    return Lattice(unary, P[enc.batches[0].classes[0]])
 
 
 def sequence_score(lattice: Lattice, labels: Sequence[int]) -> float:
@@ -170,22 +164,10 @@ def viterbi(lattice: Lattice) -> list[int]:
     maximal index, so ties resolve to the lowest label index and the
     result is deterministic.
     """
-    U, P = lattice.unary, lattice.pairwise
-    T, L = U.shape
-    delta = U[0].copy()
-    backpointers = []
-    for t in range(1, T):
-        scores = delta[:, None] + P[t - 1]
-        best_prev = np.argmax(scores, axis=0)
-        delta = U[t] + scores[best_prev, np.arange(L)]
-        backpointers.append(best_prev)
-    y = int(np.argmax(delta))
-    path = [y]
-    for bp in reversed(backpointers):
-        y = int(bp[y])
-        path.append(y)
-    path.reverse()
-    return path
+    T = lattice.n_positions
+    return _viterbi(
+        lattice.unary[None], lattice.pairwise, np.arange(T - 1)[None]
+    )[0].tolist()
 
 
 # --- inference and training ------------------------------------------
@@ -217,64 +199,69 @@ class _Encoded:
 
 
 def _encode(
-    corpus: Corpus,
+    sentences: Sequence[Sentence],
     templates: Sequence[FeatureTemplate],
     dictionary: FeatureDictionary,
     label_column: int | None,
+    index: FeatureIndex | None = None,
 ) -> _Encoded:
-    """Fold a corpus into index space; gold feature counts are taken only
-    when a label column is given."""
+    """Fold sentences into index space; gold feature counts are taken only
+    when a label column is given.  Only the distinct expanded strings are
+    looked up in the dictionary; transition classes are numbered in order
+    of first occurrence."""
+    if index is None:
+        index = index_features(sentences, templates)
     L = dictionary.n_labels
     n_uni = len(dictionary.uni_strings)
-    uni_block = n_uni * L
-    empirical = None if label_column is None else np.zeros(dictionary.n_weights)
-    rows: list[int] = []
-    cols: list[int] = []
-    classes: dict[tuple[int, ...], int] = {}
-    edge_classes: list[int] = []
-    bounds = []
-    offset = 0
-    for sentence in corpus.sentences:
-        y = []
-        if empirical is not None:
-            for token in sentence.tokens:
-                index = dictionary.label_index(token.columns[label_column])
-                if index is None:
-                    raise UnknownLabelError(
-                        "label %r not in the model alphabet"
-                        % token.columns[label_column]
-                    )
-                y.append(index)
-        uni, bi = active_features(templates, sentence)
-        for t, strings in enumerate(uni):
-            for s in strings:
-                base = dictionary.unigram_base(s)
-                if base is not None:
-                    rows.append(offset + t)
-                    cols.append(base // L)
-                    if empirical is not None:
-                        empirical[base + y[t]] += 1.0
-        for t, strings in enumerate(bi):
-            active = []
-            for s in strings:
-                base = dictionary.bigram_base(s)
-                if base is not None:
-                    active.append((base - uni_block) // (L * L))
-                    if empirical is not None:
-                        empirical[base + y[t] * L + y[t + 1]] += 1.0
-            edge_classes.append(classes.setdefault(tuple(active), len(classes)))
-        bounds.append((offset, offset + len(sentence)))
-        offset += len(sentence)
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    n_tokens = int(lengths.sum())
+    uni = dictionary.unigram_rows(index.uni_strings)[index.uni_ids]
+    bi = dictionary.bigram_rows(index.bi_strings)[index.bi_ids]
+    tokens, slots = np.nonzero(uni >= 0)
+    uni_rows = uni[tokens, slots]
     activations = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(offset, n_uni)
+        (np.ones(len(tokens)), (tokens, uni_rows)), shape=(n_tokens, n_uni)
     )
-    members = [(k, row) for active, k in classes.items() for row in active]
+    # an edge's class is its row of active bigram blocks (-1 where absent);
+    # a block belongs to one template, so this is the tuple of active blocks
+    unique, first, inverse = np.unique(
+        bi, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    class_rows = unique[order]
+    members, member_slots = np.nonzero(class_rows >= 0)
     transitions = sparse.csr_matrix(
-        (np.ones(len(members)),
-         ([k for k, _ in members], [row for _, row in members])),
-        shape=(len(classes), len(dictionary.bi_strings)),
+        (np.ones(len(members)), (members, class_rows[members, member_slots])),
+        shape=(len(class_rows), len(dictionary.bi_strings)),
     )
-    batches = _batch_plan(bounds, np.asarray(edge_classes, dtype=np.intp), L)
+    empirical = None
+    if label_column is not None:
+        labels = [token.columns[label_column]
+                  for sentence in sentences for token in sentence.tokens]
+        y = list(map(dictionary.label_index, labels))
+        if None in y:
+            raise UnknownLabelError(
+                "label %r not in the model alphabet" % labels[y.index(None)]
+            )
+        y = np.asarray(y, dtype=np.intp)
+        right = np.delete(np.arange(n_tokens), starts)  # token ending each edge
+        edges, edge_slots = np.nonzero(bi >= 0)
+        hits = np.concatenate([
+            uni_rows * L + y[tokens],
+            n_uni * L + bi[edges, edge_slots] * (L * L)
+            + y[right[edges] - 1] * L + y[right[edges]],
+        ])
+        # float counts straight away: an integer count array as long as
+        # the weights, then copied, would double this peak
+        empirical = np.bincount(
+            hits, weights=np.ones(len(hits)), minlength=dictionary.n_weights
+        )
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    batches = _batch_plan(bounds, rank[inverse.ravel()], L)
     return _Encoded(bounds, activations, transitions, empirical, L, batches)
 
 
@@ -408,15 +395,20 @@ def _batched_forward_backward(U: np.ndarray, P: np.ndarray):
     return log_z, node, edge
 
 
-def _expectations(weights: np.ndarray, enc: _Encoded):
-    """Summed log Z, node marginals (tokens x L) and expected label-pair
-    counts per bigram string (strings x L x L) at the given weights."""
+def _scores(weights: np.ndarray, enc: _Encoded):
+    """Unary scores (tokens x L) and one transition matrix per class."""
     L = enc.n_labels
     n_uni = enc.activations.shape[1]
     w_uni = weights[: n_uni * L].reshape(n_uni, L)
     w_bi = weights[n_uni * L :].reshape(-1, L * L)
-    P = (enc.transitions @ w_bi).reshape(-1, L, L)
-    unary = enc.activations @ w_uni
+    return enc.activations @ w_uni, (enc.transitions @ w_bi).reshape(-1, L, L)
+
+
+def _expectations(weights: np.ndarray, enc: _Encoded):
+    """Summed log Z, node marginals (tokens x L) and expected label-pair
+    counts per bigram string (strings x L x L) at the given weights."""
+    L = enc.n_labels
+    unary, P = _scores(weights, enc)
     node = np.empty_like(unary)
     per_class = np.zeros_like(P)
     log_z = 0.0
@@ -429,6 +421,45 @@ def _expectations(weights: np.ndarray, enc: _Encoded):
         per_class += expected
     expected_bi = enc.transitions.T @ per_class.reshape(-1, L * L)
     return log_z, node, expected_bi
+
+
+def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Best label sequences (B, T) of a batch of same-length chains: U is
+    (B, T, L) unary scores, P is (K, L, L) transition scores per class and
+    classes is (B, T-1), the class of each edge.  Every argmax takes the
+    first maximal index, so ties go to the lowest label index."""
+    B, T, L = U.shape
+    into = np.ascontiguousarray(P.transpose(0, 2, 1))  # [k, cur, prev]
+    delta = U[:, 0]
+    back = np.empty((T - 1, B, L), dtype=np.intp)
+    for t in range(1, T):
+        scores = delta[:, None, :] + (into[0] if len(P) == 1 else into[classes[:, t - 1]])
+        back[t - 1] = scores.argmax(axis=2)
+        delta = U[:, t] + np.take_along_axis(scores, back[t - 1][:, :, None], axis=2)[:, :, 0]
+    path = np.empty((B, T), dtype=np.intp)
+    path[:, T - 1] = delta.argmax(axis=1)
+    for t in range(T - 2, -1, -1):
+        path[:, t] = back[t][np.arange(B), path[:, t + 1]]
+    return path
+
+
+# Cap on the cells of one Viterbi step's (B, L, L) score tensor.  Chunks
+# this small tag no slower, and leave less freed memory held by the
+# allocator than chunks of _BATCH_CELL_CAP cells (16 MB at L = 112).
+_VITERBI_CELL_CAP = 250_000
+
+
+def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
+    """The Viterbi label of every token, batch by batch, with at most
+    _VITERBI_CELL_CAP cells in one step's (B, L, L) score tensor."""
+    unary, P = _scores(weights, enc)
+    path = np.empty(len(unary), dtype=np.intp)
+    step = max(1, _VITERBI_CELL_CAP // enc.n_labels**2)
+    for batch in enc.batches:
+        for lo in range(0, len(batch.token_index), step):
+            rows = batch.token_index[lo : lo + step]
+            path[rows] = _viterbi(unary[rows], P, batch.classes[lo : lo + step])
+    return path
 
 
 def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):
@@ -453,7 +484,7 @@ def objective_and_gradient(
 ):
     """Value and gradient at the model's current weights on labeled data."""
     column = _label_column(data, label_column)
-    enc = _encode(data, model.templates, model.dictionary, column)
+    enc = _encode(data.sentences, model.templates, model.dictionary, column)
     return _objective(model.weights, enc, sigma)
 
 
@@ -603,8 +634,9 @@ def train(
                     "template %s reads the label column %d" % (t.id, m.col)
                 )
     _check_width(templates, corpus.schema.width)
-    dictionary = build_dictionary(corpus, templates, column, config.cutoff)
-    enc = _encode(corpus, templates, dictionary, column)
+    index = index_features(corpus.sentences, templates)
+    dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
+    enc = _encode(corpus.sentences, templates, dictionary, column, index)
     trace: list[float] = []
 
     def fun(x):
@@ -630,28 +662,29 @@ def train(
     )
 
 
+def _encode_for(model: LinearChainModel, corpus: Corpus) -> _Encoded:
+    _check_width(model.templates, corpus.schema.width)
+    return _encode(corpus.sentences, model.templates, model.dictionary, None)
+
+
 def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
     """Viterbi labels per sentence; unknown words fall back to whatever
     transition and boundary features say."""
-    out = []
-    for sentence in corpus.sentences:
-        lattice = build_lattice(model, sentence)
-        out.append([model.labels[i] for i in viterbi(lattice)])
-    return out
+    enc = _encode_for(model, corpus)
+    labels = np.array(model.labels, dtype=object)[_best_paths(model.weights, enc)]
+    return [labels[start:end].tolist() for start, end in enc.bounds]
 
 
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
-    _check_width(model.templates, corpus.schema.width)
-    enc = _encode(corpus, model.templates, model.dictionary, None)
+    enc = _encode_for(model, corpus)
     _, node, _ = _expectations(model.weights, enc)
     return [node[start:end] for start, end in enc.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
-    out = []
-    for sentence, node in zip(corpus.sentences, marginals(model, corpus)):
-        path = viterbi(build_lattice(model, sentence))
-        out.append([float(node[t, y]) for t, y in enumerate(path)])
-    return out
+    enc = _encode_for(model, corpus)
+    _, node, _ = _expectations(model.weights, enc)
+    best = node[np.arange(len(node)), _best_paths(model.weights, enc)]
+    return [best[start:end].tolist() for start, end in enc.bounds]

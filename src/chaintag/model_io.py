@@ -24,26 +24,36 @@ MAGIC = "chaintag-model"
 VERSION = 1
 
 
-def format_model(model: LinearChainModel) -> str:
+# Weight lines are rendered this many at a time.
+_WEIGHTS_PER_CHUNK = 8192
+
+
+def _model_lines(model: LinearChainModel):
+    """The model file in pieces of whole lines, each ending in a newline."""
     d = model.dictionary
     template_text = format_templates(model.templates)
-    lines = [
-        "%s %d" % (MAGIC, VERSION),
-        "labels\t" + "\t".join(d.labels),
-        "sigma\t" + repr(model.sigma),
-        "iterations\t%d" % model.iterations,
-        "cutoff\t%d" % d.cutoff,
-        "template-sha256\t" + template_hash(template_text),
-        "[templates]",
-        template_text.rstrip("\n"),
-        "[unigrams]",
-    ]
-    lines.extend("%s\t%d" % (s, d.counts[s]) for s in d.uni_strings)
-    lines.append("[bigrams]")
-    lines.extend("%s\t%d" % (s, d.counts[s]) for s in d.bi_strings)
-    lines.append("[weights]")
-    lines.extend(repr(float(w)) for w in model.weights)
-    return "\n".join(lines) + "\n"
+    yield "%s %d\n" % (MAGIC, VERSION)
+    yield "labels\t" + "\t".join(d.labels) + "\n"
+    yield "sigma\t" + repr(model.sigma) + "\n"
+    yield "iterations\t%d\n" % model.iterations
+    yield "cutoff\t%d\n" % d.cutoff
+    yield "template-sha256\t" + template_hash(template_text) + "\n"
+    yield "[templates]\n"
+    yield template_text
+    yield "[unigrams]\n"
+    for s in d.uni_strings:
+        yield "%s\t%d\n" % (s, d.counts[s])
+    yield "[bigrams]\n"
+    for s in d.bi_strings:
+        yield "%s\t%d\n" % (s, d.counts[s])
+    yield "[weights]\n"
+    for lo in range(0, model.weights.size, _WEIGHTS_PER_CHUNK):
+        chunk = model.weights[lo : lo + _WEIGHTS_PER_CHUNK].tolist()
+        yield "".join([repr(w) + "\n" for w in chunk])
+
+
+def format_model(model: LinearChainModel) -> str:
+    return "".join(_model_lines(model))
 
 
 def _header_value(lines: list[str], i: int, key: str) -> str:
@@ -126,8 +136,9 @@ def parse_model(text: str) -> LinearChainModel:
 
 
 def save_model(model: LinearChainModel, path) -> None:
+    """Write the file as format_model spells it, without holding it all."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_model(model))
+        fh.writelines(_model_lines(model))
 
 
 def load_model(path) -> LinearChainModel:

@@ -12,8 +12,13 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .corpus import Corpus, append_column
-from .errors import EmptyInputError, MissingColumnError, PipelineConfigError
+from .corpus import Corpus, append_column, first_sentinel
+from .errors import (
+    CorpusFormatError,
+    EmptyInputError,
+    MissingColumnError,
+    PipelineConfigError,
+)
 
 # Placeholder for a derived rest that is the empty string (one side is a
 # prefix of the other); 'x' is reserved for the word == lemma case.
@@ -158,7 +163,9 @@ def materialize_recipe(corpus: Corpus, recipe: FeatureRecipe) -> Corpus:
 
     Base elements must already exist as columns; derived columns are named
     by their canonical element spelling.  Deterministic and idempotent on
-    the same base columns.
+    the same base columns.  Raises CorpusFormatError when a derived value
+    is spelled like a boundary sentinel ("_B-1", "_B+1"), as parse_corpus
+    does for the cells it reads.
     """
     if not corpus.schema.has("mot"):
         raise MissingColumnError("recipe needs a 'mot' column")
@@ -176,5 +183,11 @@ def materialize_recipe(corpus: Corpus, recipe: FeatureRecipe) -> Corpus:
             _derive(element, w, lemmas[i] if lemmas else None)
             for i, w in enumerate(words)
         ]
+        sentinel = first_sentinel(values)
+        if sentinel is not None:
+            raise CorpusFormatError(
+                "derived column %s holds %r, which is spelled like a boundary"
+                " sentinel" % (element.text, sentinel)
+            )
         out = append_column(out, element.text, values)
     return out

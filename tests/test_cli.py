@@ -126,6 +126,25 @@ def test_train_rejects_a_cell_spelled_like_a_boundary_sentinel(tmp_path, capsys)
     assert "boundary sentinel" in capsys.readouterr().err
 
 
+def test_cv_rejects_a_derived_cell_spelled_like_a_boundary_sentinel(
+    tmp_path, capsys
+):
+    # `train` reads its columns as they are; recipes derive columns in the
+    # pipelines that `cv` runs.  Rmot of "xy_B+1" with lemma "xy" is "_B+1".
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(
+        "le\tle\tDETDEFMS\nxy_B+1\txy\tNMS\n\n"
+        "le\tle\tDETDEFMS\nchat\tchat\tNMS\n",
+        encoding="utf-8",
+    )
+    code = run_cli(["cv", str(corpus), "--columns", "mot,lemme,tag",
+                    "--pipeline", "II", "--k", "2", "--max-iterations", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "derived column Rmot holds '_B+1'" in err
+    assert "boundary sentinel" in err
+
+
 def test_train_is_deterministic(toy_path, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for path in (a, b):

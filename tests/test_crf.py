@@ -342,6 +342,24 @@ class TestViterbi:
         assert viterbi(lattice) == brute_viterbi(lattice)
 
 
+    @given(st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_kernel_matches_each_lattice(self, seed):
+        """Each row of a batch, with edges drawn from several transition
+        classes, gets the path viterbi and brute force give its lattice."""
+        rng = np.random.default_rng(seed + 50_000)
+        B, T = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        L, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        integer = bool(seed % 2)  # integer scores make ties
+        U = random_lattice(rng, B * T, L, integer).unary.reshape(B, T, L)
+        P = random_lattice(rng, K + 1, L, integer).pairwise
+        classes = rng.integers(0, K, size=(B, T - 1))
+        paths = crf._viterbi(U, P, classes)
+        for b in range(B):
+            lattice = Lattice(U[b], P[classes[b]])
+            assert paths[b].tolist() == viterbi(lattice) == brute_viterbi(lattice)
+
+
 # --- objective and training -------------------------------------------
 
 
@@ -643,6 +661,35 @@ class TestTagging:
             ColumnSchema(("mot",)),
         )
         assert tag(model, unlabeled) == SEPARABLE.sentence_column("tag")
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e4])
+    def test_batched_tagging_matches_per_sentence_viterbi(self, scale, monkeypatch):
+        """Mixed lengths, one-token sentences, two transition classes; with
+        zero weights every tie goes to the lowest label index."""
+        corpus = corpus_of([
+            [("le", "D"), ("sel", "N")],
+            [("sel", "N")],
+            [("la", "D"), ("mer", "N"), ("et", "C"), ("le", "D"), ("sel", "N")],
+            [("et", "C")],
+            [("le", "D"), ("mer", "N")],
+            [("la", "D"), ("sel", "N"), ("et", "C")],
+            [("mer", "N"), ("et", "C")],
+            [("et", "C"), ("la", "D")],
+            [("sel", "N"), ("le", "D")],
+            [("la", "D"), ("mer", "N")],
+        ])
+        model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
+        rng = np.random.default_rng(int(scale) + 5)
+        model = replace(model, weights=scale * rng.uniform(-1, 1, model.weights.size))
+        lattices = [build_lattice(model, s) for s in corpus.sentences]
+        expected = [[model.labels[y] for y in viterbi(x)] for x in lattices]
+        assert expected == [[model.labels[y] for y in brute_viterbi(x)] for x in lattices]
+        if scale == 0.0:
+            assert {label for labels in expected for label in labels} == {model.labels[0]}
+        assert tag(model, corpus) == expected
+        # a cap of two sentences per (B, L, L) step splits the batches
+        monkeypatch.setattr(crf, "_VITERBI_CELL_CAP", 2 * model.dictionary.n_labels ** 2)
+        assert tag(model, corpus) == expected
 
     def test_empty_corpus_tags_to_nothing(self):
         model = small_model(OMELETTE)

@@ -1,12 +1,22 @@
 """Model file round-trips and format validation."""
 
+import hashlib
+import random
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chaintag.corpus import ColumnSchema, load_corpus, parse_corpus, save_corpus
+from chaintag.corpus import (
+    ColumnSchema,
+    append_column,
+    load_corpus,
+    parse_corpus,
+    save_corpus,
+    select_columns,
+)
 from chaintag.crf import TrainingConfig, tag, train
 from chaintag.errors import CorpusFormatError, EmptyCorpusError, ModelFormatError
 from chaintag.model_io import (
@@ -15,7 +25,11 @@ from chaintag.model_io import (
     parse_model,
     save_model,
 )
+from chaintag.morphology import materialize_recipe
+from chaintag.pipelines import named_pipeline
+from chaintag.tagschema import bundled_schema, project_tag
 from chaintag.templates import default_templates, parse_templates
+from test_acceptance import _cascade_corpus
 
 CORPUS = parse_corpus(
     "le\tD\nsel\tN\nfond\tV\n\nla\tD\nmer\tN\n\nle\tD\nfond\tV\n",
@@ -27,6 +41,46 @@ CORPUS = parse_corpus(
 def model():
     templates = parse_templates(default_templates([0]))
     return train(CORPUS, templates, TrainingConfig(max_iterations=60))
+
+
+class TestByteIdentity:
+    """Digests of model files written before the corpus-level feature
+    index replaced per-position expansion.  Training from the same corpus
+    and templates must keep writing these exact bytes."""
+
+    @staticmethod
+    def digest(model, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        data = path.read_bytes()
+        assert data == format_model(model).encode("utf-8")
+        return hashlib.sha256(data).hexdigest()
+
+    def test_toy_corpus_with_the_default_templates(self, tmp_path):
+        text = resources.files("chaintag.data").joinpath("toy.tsv").read_text("utf-8")
+        toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
+        model = train(toy, parse_templates(default_templates(range(2))))
+        assert self.digest(model, tmp_path) == (
+            "520545170efc0b43f7e95f1a756aaea0be5ae1769040e8fd6aa6fad81f3cad15"
+        )
+
+    def test_first_cascade_stage_on_the_c10_corpus(self, tmp_path):
+        """Pipeline V's L0 model: the recipe's columns, L0 gold last."""
+        spec = named_pipeline("V")
+        corpus = _cascade_corpus(300, random.Random(10))
+        gold = [project_tag(bundled_schema(), t, "L0") for t in corpus.column("tag")]
+        view = select_columns(
+            append_column(materialize_recipe(corpus, spec.recipe), "L0", gold),
+            spec.recipe.column_names + ("L0",),
+        )
+        model = train(
+            view,
+            parse_templates(default_templates(range(3))),
+            TrainingConfig(sigma=10.0, max_iterations=80, tolerance=1e-6),
+        )
+        assert self.digest(model, tmp_path) == (
+            "1ca25b5627686316f2b4d33b13e490b5e8f68880162292e3d4511f3ba83dec97"
+        )
 
 
 class TestRoundTrip:

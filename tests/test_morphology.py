@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from chaintag.corpus import ColumnSchema, parse_corpus
 from chaintag.errors import (
+    CorpusFormatError,
     EmptyInputError,
     MissingColumnError,
     PipelineConfigError,
@@ -199,6 +200,18 @@ class TestMaterializeRecipe:
         corpus = parse_corpus("sel\tNMS\n", schema)
         with pytest.raises(MissingColumnError):
             materialize_recipe(corpus, RECIPES["IVbis"])
+
+    def test_derived_value_spelled_like_a_sentinel_is_rejected(self):
+        # the rest of "xy_B+1" after its lemma "xy" would read as padding
+        corpus = _corpus([("le", "le", "D"), ("xy_B+1", "xy", "NMS")])
+        with pytest.raises(CorpusFormatError, match=r"Rmot holds '_B\+1'"):
+            materialize_recipe(corpus, parse_recipe("mot,Rmot"))
+        corpus = _corpus([("a_B-1", "a", "X")])
+        with pytest.raises(CorpusFormatError, match=r"D4\(mot\) holds '_B-1'"):
+            materialize_recipe(corpus, parse_recipe("mot,D4(mot)"))
+        # a sentinel inside a longer value is an ordinary cell
+        out = materialize_recipe(corpus, parse_recipe("mot,D5(mot)"))
+        assert out.sentences[0].tokens[0].columns[3] == "a_B-1"
 
     @given(st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=6))
     def test_deterministic_over_any_rows(self, pairs):
