@@ -66,9 +66,6 @@ from .pipelines import (
     jackknife_stage_features,
     named_pipeline,
     parse_pipeline_spec,
-    run_cascade,
-    run_decomposed,
-    run_direct,
     run_pipeline,
 )
 from .tagschema import (
@@ -174,9 +171,6 @@ __all__ = [
     "jackknife_stage_features",
     "named_pipeline",
     "parse_pipeline_spec",
-    "run_cascade",
-    "run_decomposed",
-    "run_direct",
     "run_pipeline",
     # evaluation
     "EvalReport",

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ from .errors import (
     EmptyTrainingSetError,
     LengthMismatchError,
     NonFiniteObjectiveError,
+    TrainingConfigError,
     UnknownLabelError,
 )
 from .templates import (  # noqa: F401 (bench/run.py traces crf.active_features)
@@ -72,10 +74,16 @@ class TrainingConfig:
     cutoff: int = 1
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.max_iterations < 0 or self.cutoff < 1 or self.tolerance <= 0:
-            raise ValueError("bad training configuration")
+        # the prior divides by sigma squared, which must be a normal double
+        if not (self.sigma > 0
+                and float_info.min <= self.sigma * self.sigma <= float_info.max):
+            raise TrainingConfigError(
+                "sigma must be positive with a normal square, got %r" % self.sigma)
+        if not 0 < self.tolerance <= float_info.max:
+            raise TrainingConfigError(
+                "tolerance must be positive and finite, got %r" % self.tolerance)
+        if self.max_iterations < 0 or self.cutoff < 1:
+            raise TrainingConfigError("bad training configuration")
 
 
 @dataclass(frozen=True, eq=False)

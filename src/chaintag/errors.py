@@ -117,6 +117,10 @@ class NonFiniteObjectiveError(ChaintagError):
     pass
 
 
+class TrainingConfigError(ChaintagError, ValueError):
+    pass
+
+
 class ModelFormatError(ChaintagError):
     pass
 

@@ -202,7 +202,7 @@ def cross_validate(
     per-component accuracies are included when a schema is given and
     every gold and predicted tag is in its inventory.
     """
-    from . import pipelines  # runners; imported here to avoid a cycle
+    from . import pipelines  # run_pipeline; imported here to avoid a cycle
 
     assignment = kfold_split(corpus, k, seed)
     fold_accuracies = []

@@ -6,17 +6,25 @@ extra column, then L2 with both results.  Decomposed: four CRFs learn the
 tag components g0..g3 independently; a fifth CRF or the symbolic
 composition rules recombine them into a full tag.
 
-Every runner builds explicit training views (observation columns in
-recipe order, label last), so gold labels can never leak into feature
-extraction, and returns the test corpus with prediction columns appended
-(ResL0/ResL01/ResL012 for cascades, ResG0..ResG3 and ResL2 for
-decomposition, Res<level> for direct runs).
+Each strategy is a plan: the list of its CRF stages in training order.
+A stage names its model key, its result column, its feature recipe, its
+gold labels and the earlier result columns it reads.  ``run_pipeline``
+runs every plan with one loop.  A stage trains on its recipe columns,
+then its input columns, with the gold label last under the result
+column's name, so gold labels never reach feature extraction.  It then
+tags the test view and appends the result column (ResL0/ResL01/ResL012
+for cascades, ResG0..ResG3 and ResL2 for decomposition, Res<level> for
+direct runs).  A result column that a later stage reads gets its
+training values from the spec's stage source: the gold labels, the
+stage's own predictions, or predictions jackknifed over internal folds
+(stacked sequential learning).
 """
 
 from __future__ import annotations
 
 import configparser
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -86,6 +94,9 @@ class PipelineSpec:
             )
         if self.jackknife_folds < 2:
             raise PipelineConfigError("jackknife needs at least 2 folds")
+        # the spec file format strips values and ends them at line breaks
+        if self.label_column.strip().splitlines() != [self.label_column]:
+            raise PipelineConfigError("unusable label column %r" % self.label_column)
 
 
 NAMED_PIPELINES: dict[str, PipelineSpec] = {}
@@ -144,19 +155,26 @@ class PipelineResult:
     audit: tuple[str, ...]
 
 
-class _Clock:
-    def __init__(self):
-        self.timings = {"features": 0.0, "train": 0.0, "tag": 0.0}
-        self._t0 = None
-        self._phase = None
+@dataclass(frozen=True)
+class _Stage:
+    """One CRF of a plan: it learns gold from the recipe's columns and the
+    earlier stages' result columns named in inputs, and its prediction
+    becomes the result column."""
 
-    def start(self, phase: str):
-        self._phase = phase
-        self._t0 = time.perf_counter()
+    key: str
+    column: str
+    recipe: FeatureRecipe
+    gold: Sequence[str]
+    inputs: tuple[str, ...] = ()
 
-    def stop(self):
-        self.timings[self._phase] += time.perf_counter() - self._t0
-        self._phase = None
+
+@contextmanager
+def _timed(timings: dict[str, float], phase: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] += time.perf_counter() - t0
 
 
 def _flat(values_per_sentence: Sequence[Sequence[str]]) -> list[str]:
@@ -171,10 +189,6 @@ def _train_stage(
     text = default_templates(range(view.schema.width - 1))
     model = train(view, parse_templates(text), config)
     return model, template_hash(text)
-
-
-def _tag_view(model: LinearChainModel, view: Corpus) -> list[str]:
-    return _flat(tag(model, view))
 
 
 def jackknife_stage_features(
@@ -203,152 +217,11 @@ def jackknife_stage_features(
     return StagePrediction(label, tuple(values), "jackknifed")
 
 
-def _stage_feature_values(
-    view: Corpus,
-    model: LinearChainModel,
-    spec: PipelineSpec,
-    stage_seed: int,
-) -> StagePrediction:
-    """Training-time values for one predicted-feature column."""
-    label = view.schema.names[-1]
-    if spec.stage_source == "gold":
-        return StagePrediction(label, tuple(view.column(label)), "gold")
-    if spec.stage_source == "predicted":
-        observed = select_columns(view, view.schema.names[:-1])
-        return StagePrediction(label, tuple(_tag_view(model, observed)), "predicted")
-    return jackknife_stage_features(
-        view, spec.config, spec.jackknife_folds, stage_seed
-    )
-
-
-def _materialized(corpus: Corpus, recipe: FeatureRecipe, clock: _Clock) -> Corpus:
-    clock.start("features")
-    out = materialize_recipe(corpus, recipe)
-    clock.stop()
-    return out
-
-
-def _view(base: Corpus, observation_names: Sequence[str],
-          extra: Sequence[tuple[str, Sequence[str]]] = (),
-          label: tuple[str, Sequence[str]] | None = None) -> Corpus:
-    """Observation columns in order, then extras, then the label last."""
-    out = base
-    names = list(observation_names)
+def _view(base: Corpus, extra: Sequence[tuple[str, Sequence[str]]]) -> Corpus:
+    """The recipe columns, then the extra columns in order."""
     for name, values in extra:
-        out = append_column(out, name, list(values))
-        names.append(name)
-    if label is not None:
-        name, values = label
-        out = append_column(out, name, list(values))
-        names.append(name)
-    return select_columns(out, names)
-
-
-def run_direct(
-    spec: PipelineSpec,
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    schema: TagSchema | None = None,
-) -> PipelineResult:
-    """One CRF from recipe columns to the target level."""
-    if spec.strategy != "direct":
-        raise PipelineConfigError("run_direct needs a direct pipeline")
-    clock = _Clock()
-    recipe_cols = spec.recipe.column_names
-    train_feats = _materialized(train_corpus, spec.recipe, clock)
-    gold = train_corpus.column(spec.label_column)
-    if spec.target != "L2":
-        if schema is None:
-            raise PipelineConfigError(
-                "projecting the gold column to %s needs a schema" % spec.target
-            )
-        gold = [project_tag(schema, t, spec.target) for t in gold]
-    view = _view(train_feats, recipe_cols, label=("__cible__", gold))
-    clock.start("train")
-    model, t_hash = _train_stage(view, spec.config)
-    clock.stop()
-    test_feats = _materialized(test_corpus, spec.recipe, clock)
-    clock.start("tag")
-    predicted = _tag_view(model, _view(test_feats, recipe_cols))
-    clock.stop()
-    column = "Res" + spec.target
-    return PipelineResult(
-        corpus=append_column(test_corpus, column, predicted),
-        prediction_column=column,
-        timings=clock.timings,
-        stages=(),
-        models={spec.target: model},
-        template_hashes={spec.target: t_hash},
-        audit=("label column %r read only for training" % spec.label_column,),
-    )
-
-
-def run_cascade(
-    spec: PipelineSpec,
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    schema: TagSchema,
-) -> PipelineResult:
-    """Three CRFs, each consuming the previous levels' result columns."""
-    if spec.strategy != "cascade":
-        raise PipelineConfigError("run_cascade needs a cascade pipeline")
-    if schema is None:
-        raise PipelineConfigError("cascade learning needs a schema")
-    clock = _Clock()
-    base_cols = spec.recipe.column_names
-    train_feats = _materialized(train_corpus, spec.recipe, clock)
-    test_feats = _materialized(test_corpus, spec.recipe, clock)
-    gold_l2 = train_corpus.column(spec.label_column)
-    gold = {
-        level: [project_tag(schema, t, level) for t in gold_l2]
-        for level in ("L0", "L1", "L2")
-    }
-    models: dict[str, LinearChainModel] = {}
-    hashes: dict[str, str] = {}
-    stages: list[StagePrediction] = []
-    train_extra: list[tuple[str, Sequence[str]]] = []
-    test_extra: list[tuple[str, Sequence[str]]] = []
-    result_columns: list[tuple[str, list[str]]] = []
-    for level, result_name in (("L0", "ResL0"), ("L1", "ResL01"), ("L2", "ResL012")):
-        view = _view(
-            train_feats, base_cols, train_extra, ("__cible__", gold[level])
-        )
-        clock.start("train")
-        model, t_hash = _train_stage(view, spec.config)
-        clock.stop()
-        models[level] = model
-        hashes[level] = t_hash
-        clock.start("tag")
-        predicted = _tag_view(model, _view(test_feats, base_cols, test_extra))
-        clock.stop()
-        result_columns.append((result_name, predicted))
-        if level != "L2":
-            feature_view = _view(
-                train_feats, base_cols, train_extra, (result_name, gold[level])
-            )
-            clock.start("train")
-            stage = _stage_feature_values(
-                feature_view, model, spec, spec.seed + len(stages)
-            )
-            clock.stop()
-            stages.append(stage)
-            train_extra.append((result_name, stage.values))
-            test_extra.append((result_name, predicted))
-    out = test_corpus
-    for name, values in result_columns:
-        out = append_column(out, name, values)
-    return PipelineResult(
-        corpus=out,
-        prediction_column="ResL012",
-        timings=clock.timings,
-        stages=tuple(stages),
-        models=models,
-        template_hashes=hashes,
-        audit=(
-            "stage feature source: %s" % spec.stage_source,
-            "label column %r read only for training" % spec.label_column,
-        ),
-    )
+        base = append_column(base, name, values)
+    return base
 
 
 def _component_gold(
@@ -367,117 +240,63 @@ def _component_gold(
     return columns
 
 
-def run_decomposed(
-    spec: PipelineSpec,
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    schema: TagSchema,
-) -> PipelineResult:
-    """Four component CRFs plus CRF or rule-based recombination."""
-    if spec.strategy != "decomposed":
-        raise PipelineConfigError("run_decomposed needs a decomposed pipeline")
+def _plan(
+    spec: PipelineSpec, schema: TagSchema | None, gold: Sequence[str]
+) -> list[_Stage]:
+    """The pipeline's CRF stages in training order."""
+    if spec.strategy == "direct":
+        if spec.target != "L2":
+            if schema is None:
+                raise PipelineConfigError(
+                    "projecting the gold column to %s needs a schema" % spec.target
+                )
+            gold = [project_tag(schema, t, spec.target) for t in gold]
+        return [_Stage(spec.target, "Res" + spec.target, spec.recipe, gold)]
     if schema is None:
-        raise PipelineConfigError("decomposed learning needs a schema")
-    clock = _Clock()
-    comp_cols = spec.recipe.column_names
-    train_feats = _materialized(train_corpus, spec.recipe, clock)
-    test_feats = _materialized(test_corpus, spec.recipe, clock)
-    gold_l2 = train_corpus.column(spec.label_column)
-    gold_components = _component_gold(schema, gold_l2)
-    models: dict[str, LinearChainModel] = {}
-    hashes: dict[str, str] = {}
-    stages: list[StagePrediction] = []
-    component_views: list[Corpus] = []
-    predicted_components: list[list[str]] = []
-    test_view = _view(test_feats, comp_cols)
-    for k in range(4):
-        name = "ResG%d" % k
-        view = _view(train_feats, comp_cols, (), (name, gold_components[k]))
-        component_views.append(view)
-        clock.start("train")
-        model, t_hash = _train_stage(view, spec.config)
-        clock.stop()
-        models["G%d" % k] = model
-        hashes["G%d" % k] = t_hash
-        clock.start("tag")
-        predicted_components.append(_tag_view(model, test_view))
-        clock.stop()
-    out = test_corpus
-    for k in range(4):
-        out = append_column(out, "ResG%d" % k, predicted_components[k])
+        raise PipelineConfigError("%s learning needs a schema" % spec.strategy)
+    if spec.strategy == "cascade":
+        plan: list[_Stage] = []
+        for level, column in (("L0", "ResL0"), ("L1", "ResL01"), ("L2", "ResL012")):
+            level_gold = [project_tag(schema, t, level) for t in gold]
+            plan.append(_Stage(level, column, spec.recipe, level_gold,
+                               tuple(s.column for s in plan)))
+        return plan
+    plan = [
+        _Stage("G%d" % k, "ResG%d" % k, spec.recipe, component)
+        for k, component in enumerate(_component_gold(schema, gold))
+    ]
+    if spec.recombination == "crf":
+        plan.append(_Stage("L2", "ResL2", spec.recombiner_recipe, gold,
+                           tuple(s.column for s in plan)))
+    return plan
+
+
+def _audit(spec: PipelineSpec) -> tuple[str, ...]:
+    label_note = "label column %r read only for training" % spec.label_column
     if spec.recombination == "rules":
-        clock.start("tag")
-        final = _repair_tags(spec, schema, models, test_view)
-        clock.stop()
-        audit_note = "recombination: composition rules over marginal scores"
-    else:
-        rec_cols = spec.recombiner_recipe.column_names
-        rec_train = _materialized(train_corpus, spec.recombiner_recipe, clock)
-        rec_test = _materialized(test_corpus, spec.recombiner_recipe, clock)
-        train_extra = []
-        for k in range(4):
-            clock.start("train")
-            stage = _stage_feature_values(
-                component_views[k], models["G%d" % k], spec, spec.seed + k
-            )
-            clock.stop()
-            stages.append(stage)
-            train_extra.append(("ResG%d" % k, stage.values))
-        view = _view(
-            rec_train, rec_cols, train_extra, ("__cible__", gold_l2)
-        )
-        clock.start("train")
-        model, t_hash = _train_stage(view, spec.config)
-        clock.stop()
-        models["L2"] = model
-        hashes["L2"] = t_hash
-        clock.start("tag")
-        final = _tag_view(
-            model,
-            _view(rec_test, rec_cols,
-                  [("ResG%d" % k, predicted_components[k]) for k in range(4)]),
-        )
-        clock.stop()
-        audit_note = "recombination: CRF over component results (%s source)" % (
-            spec.stage_source
-        )
-    out = append_column(out, "ResL2", final)
-    return PipelineResult(
-        corpus=out,
-        prediction_column="ResL2",
-        timings=clock.timings,
-        stages=tuple(stages),
-        models=models,
-        template_hashes=hashes,
-        audit=(
-            audit_note,
-            "label column %r read only for training" % spec.label_column,
-        ),
-    )
+        return ("recombination: composition rules over marginal scores", label_note)
+    if spec.recombination == "crf":
+        return ("recombination: CRF over component results (%s source)"
+                % spec.stage_source, label_note)
+    if spec.strategy == "cascade":
+        return ("stage feature source: %s" % spec.stage_source, label_note)
+    return (label_note,)
 
 
 def _repair_tags(
-    spec: PipelineSpec,
     schema: TagSchema,
     models: Mapping[str, LinearChainModel],
     test_view: Corpus,
 ) -> list[str]:
     """Combine per-component node marginals into valid tags."""
-    component_marginals = [
-        marginals(models["G%d" % k], test_view) for k in range(4)
-    ]
-    labels = [models["G%d" % k].labels for k in range(4)]
+    components = [models["G%d" % k] for k in range(4)]
     out: list[str] = []
-    for s, sentence in enumerate(test_view.sentences):
-        for t in range(len(sentence)):
-            pools = []
-            for k in range(4):
-                row = np.maximum(component_marginals[k][s][t], 1e-300)
-                scores = np.log(row)
-                pools.append(
-                    [(labels[k][i], float(scores[i])) for i in range(len(labels[k]))]
-                )
-            out.append(repair(schema, pools))
+    for sentence in zip(*(marginals(m, test_view) for m in components)):
+        for rows in zip(*sentence):
+            scores = [np.log(np.maximum(row, 1e-300)).tolist() for row in rows]
+            out.append(repair(schema, [
+                list(zip(m.labels, row)) for m, row in zip(components, scores)
+            ]))
     return out
 
 
@@ -487,11 +306,63 @@ def run_pipeline(
     test_corpus: Corpus,
     schema: TagSchema | None = None,
 ) -> PipelineResult:
-    if spec.strategy == "direct":
-        return run_direct(spec, train_corpus, test_corpus, schema)
-    if spec.strategy == "cascade":
-        return run_cascade(spec, train_corpus, test_corpus, schema)
-    return run_decomposed(spec, train_corpus, test_corpus, schema)
+    """Train the plan's stages in order, tagging the test corpus as they
+    go; returns it with every stage's result column appended."""
+    plan = _plan(spec, schema, train_corpus.column(spec.label_column))
+    read = {column for stage in plan for column in stage.inputs}
+    timings = {"features": 0.0, "train": 0.0, "tag": 0.0}
+    features: dict[str, tuple[Corpus, Corpus]] = {}
+    stages: dict[str, StagePrediction] = {}  # training values of read columns
+    test_results: dict[str, list[str]] = {}
+    models: dict[str, LinearChainModel] = {}
+    hashes: dict[str, str] = {}
+    for stage in plan:
+        if stage.recipe.text not in features:
+            with _timed(timings, "features"):
+                features[stage.recipe.text] = tuple(
+                    select_columns(materialize_recipe(c, stage.recipe),
+                                   stage.recipe.column_names)
+                    for c in (train_corpus, test_corpus)
+                )
+        train_base, test_base = features[stage.recipe.text]
+        view = _view(train_base, [(c, stages[c].values) for c in stage.inputs]
+                     + [(stage.column, stage.gold)])
+        with _timed(timings, "train"):
+            model, hashes[stage.key] = _train_stage(view, spec.config)
+        models[stage.key] = model
+        test_view = _view(test_base, [(c, test_results[c]) for c in stage.inputs])
+        with _timed(timings, "tag"):
+            test_results[stage.column] = _flat(tag(model, test_view))
+        if stage.column not in read:
+            continue
+        with _timed(timings, "train"):
+            if spec.stage_source == "gold":
+                prediction = StagePrediction(
+                    stage.column, tuple(view.column(stage.column)), "gold")
+            elif spec.stage_source == "predicted":
+                observed = select_columns(view, view.schema.names[:-1])
+                prediction = StagePrediction(
+                    stage.column, tuple(_flat(tag(model, observed))), "predicted")
+            else:
+                prediction = jackknife_stage_features(
+                    view, spec.config, spec.jackknife_folds, spec.seed + len(stages))
+        stages[stage.column] = prediction
+    if spec.recombination == "rules":
+        with _timed(timings, "tag"):
+            test_results["ResL2"] = _repair_tags(
+                schema, models, features[spec.recipe.text][1])
+    out = test_corpus
+    for column, values in test_results.items():
+        out = append_column(out, column, values)
+    return PipelineResult(
+        corpus=out,
+        prediction_column=column,  # the last one appended
+        timings=timings,
+        stages=tuple(stages.values()),
+        models=models,
+        template_hashes=hashes,
+        audit=_audit(spec),
+    )
 
 
 # --- pipeline spec files ----------------------------------------------

@@ -314,7 +314,8 @@ def build_dictionary(
         labels=tuple(labels),
         uni_strings=tuple(compress(index.uni_strings, uni_counts >= cutoff)),
         bi_strings=tuple(compress(index.bi_strings, bi_counts >= cutoff)),
-        counts=dict(zip(index.uni_strings + index.bi_strings,
-                        uni_counts.tolist() + bi_counts.tolist())),
+        counts={s: c for s, c in zip(index.uni_strings + index.bi_strings,
+                                     uni_counts.tolist() + bi_counts.tolist())
+                if c >= cutoff},
         cutoff=cutoff,
     )

@@ -173,6 +173,26 @@ def test_train_needs_at_least_two_columns(toy_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ("--sigma", "1e-300"),  # its square underflows to 0
+    ("--sigma", "1e-160"),  # its square is subnormal
+    ("--sigma", "1e160"),  # its square overflows
+    ("--sigma", "nan"),
+    ("--sigma", "inf"),
+    ("--tolerance", "nan"),
+    ("--tolerance", "inf"),
+])
+def test_train_refuses_settings_it_cannot_train_with(toy_path, tmp_path, capsys,
+                                                     flags):
+    model = tmp_path / "m"
+    code = run_cli(["train", toy_path, "--columns", "mot,lemme,tag",
+                    "--model", str(model), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flags[0][2:] in err and "internal error" not in err
+    assert not model.exists()
+
+
 # --- tag --------------------------------------------------------------
 
 

@@ -167,8 +167,10 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     assert d.labels == tuple(dict.fromkeys(corpus.column("tag")))
     assert d.uni_strings == tuple(s for s, c in uni_counts.items() if c >= cutoff)
     assert d.bi_strings == tuple(s for s, c in bi_counts.items() if c >= cutoff)
-    assert d.counts == {**uni_counts, **bi_counts}
-    assert list(d.counts) == list(uni_counts) + list(bi_counts)
+    retained = [(s, c) for s, c in [*uni_counts.items(), *bi_counts.items()]
+                if c >= cutoff]
+    assert d.counts == dict(retained)
+    assert list(d.counts) == [s for s, _ in retained]
 
     L = d.n_labels
     enc = crf._encode(corpus.sentences, templates, d, 2)

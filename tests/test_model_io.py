@@ -115,6 +115,16 @@ class TestRoundTrip:
         assert not loaded.weights.any()
         assert loaded.dictionary == model.dictionary
 
+    def test_cutoff_model_round_trips_its_dictionary(self):
+        text = resources.files("chaintag.data").joinpath("toy.tsv").read_text("utf-8")
+        toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
+        model = train(toy, parse_templates(default_templates(range(2))),
+                      TrainingConfig(max_iterations=5, cutoff=2))
+        d = model.dictionary
+        assert list(d.counts) == list(d.uni_strings + d.bi_strings)
+        assert min(d.counts.values()) >= 2
+        assert parse_model(format_model(model)).dictionary == d
+
 
 # Line and record separators that str.splitlines breaks at but a corpus
 # cell may hold.

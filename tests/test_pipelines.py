@@ -1,25 +1,29 @@
 """Tests for the direct, cascade, and decomposed learning strategies."""
 
-import pytest
+import hashlib
 
-from chaintag.corpus import ColumnSchema, parse_corpus
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chaintag.corpus import ColumnSchema, parse_corpus, write_corpus
 from chaintag.crf import TrainingConfig
 from chaintag.errors import (
     MissingColumnError,
     PipelineConfigError,
+    TrainingConfigError,
     UndecomposableTagError,
 )
 from chaintag.pipelines import (
     NAMED_PIPELINES,
+    STAGE_SOURCES,
     PipelineSpec,
     format_pipeline_spec,
     jackknife_stage_features,
     named_pipeline,
     parse_pipeline_spec,
-    run_cascade,
-    run_direct,
     run_pipeline,
 )
+from chaintag.model_io import format_model
 from chaintag.morphology import parse_recipe
 from chaintag.tagschema import (
     bundled_schema,
@@ -107,6 +111,13 @@ def test_spec_validation():
         PipelineSpec("x", "direct", recipe, recombination="rules")
     with pytest.raises(PipelineConfigError):
         PipelineSpec("x", "direct", recipe, jackknife_folds=1)
+    # label columns that the spec file would strip or split
+    for label in ("", "  tag ", "tag\x85", "a\nb", "tag\u2028", "tag\r"):
+        with pytest.raises(PipelineConfigError):
+            PipelineSpec("x", "direct", recipe, label_column=label)
+        with pytest.raises(PipelineConfigError):
+            named_pipeline("IV", label_column=label)
+    assert named_pipeline("IV", label_column="a b").label_column == "a b"
 
 
 # --- direct strategy --------------------------------------------------
@@ -151,14 +162,6 @@ def test_direct_lower_target_needs_a_schema():
     assert res.prediction_column == "ResL0"
     expected = [project_tag(schema, t, "L0") for t in test_c.column("tag")]
     assert res.corpus.column("ResL0") == expected
-
-
-def test_direct_rejects_other_strategies():
-    train_c, test_c = train_test_pair()
-    with pytest.raises(PipelineConfigError):
-        run_direct(named_pipeline("V"), train_c, test_c)
-    with pytest.raises(PipelineConfigError):
-        run_cascade(named_pipeline("I"), train_c, test_c, bundled_schema())
 
 
 def test_direct_is_deterministic():
@@ -388,3 +391,99 @@ def test_spec_file_errors():
 def test_spec_file_accepts_matching_fixed_keys():
     text = "[pipeline]\nid = I\nstrategy = direct\nrecipe = mot,lemme\n"
     assert parse_pipeline_spec(text) == NAMED_PIPELINES["I"]
+
+
+_FLOATS = st.one_of(
+    st.floats(1e-150, 1e150), st.floats(),
+    st.sampled_from([1e-300, 1e-160, 1e-154, 5e-324, 1e154, 1e160]),
+)
+_LABELS = st.one_of(
+    st.sampled_from(["tag", "a b", "étiquette"]), st.text(max_size=6),
+    # what configparser strips values of or splits them at
+    st.text(st.sampled_from(" \t\r\n\x0b\x85\u2028\u3000ab"), max_size=4),
+)
+_RECIPES = st.sampled_from(["mot", "mot,lemme", "mot,D2(mot)", "mot,Rmot|D3(mot)"])
+
+
+@st.composite
+def spec_builders(draw):
+    """A thunk building a named or custom spec from drawn fields."""
+    config = dict(
+        sigma=draw(_FLOATS), tolerance=draw(_FLOATS),
+        max_iterations=draw(st.integers(-1, 400)), cutoff=draw(st.integers(0, 4)),
+    )
+    fields = dict(
+        label_column=draw(_LABELS),
+        seed=draw(st.integers()),
+        jackknife_folds=draw(st.integers(1, 12)),
+        stage_source=draw(st.sampled_from(STAGE_SOURCES)),
+    )
+    pipeline_id = draw(st.sampled_from(sorted(NAMED_PIPELINES) + ["custom"]))
+    if pipeline_id == "custom":
+        fields.update(
+            strategy=draw(st.sampled_from(["direct", "cascade", "decomposed"])),
+            recipe=parse_recipe(draw(_RECIPES)),
+            target=draw(st.sampled_from(["L0", "L1", "L2"])),
+            recombination=draw(st.sampled_from([None, "crf", "rules"])),
+            recombiner_recipe=draw(st.none() | _RECIPES.map(parse_recipe)),
+        )
+
+    def build():
+        fields["config"] = TrainingConfig(**config)
+        if pipeline_id == "custom":
+            return PipelineSpec(pipeline_id, **fields)
+        return named_pipeline(pipeline_id, **fields)
+
+    return build
+
+
+@given(spec_builders())
+@settings(max_examples=500, deadline=None)
+def test_every_spec_that_can_be_built_survives_its_file_format(build):
+    try:
+        spec = build()
+    except (PipelineConfigError, TrainingConfigError):
+        return
+    assert parse_pipeline_spec(format_pipeline_spec(spec)) == spec
+
+
+# --- pinned outputs ---------------------------------------------------
+
+# sha256 over the result corpus, every model file (in model-key order)
+# and every stage's (stage, source, values), for each strategy, target,
+# recombination and stage source.
+PINNED_RUNS = {
+    "IVbis-jackknifed-L0":
+        "75966b7be78452c426e1c4c786cfdcef927d4e08c402ab76d3c9d477dfd9a90f",
+    "V-gold-L2":
+        "fa624909a342d0ade753c53d1595817b93db5c4ffde42f6dee4b0261dba39618",
+    "V-jackknifed-L2":
+        "13f49a38720ebcf0f3244b27593ea247ccd5fa40e874f493df9227805d0e8ea1",
+    "V-predicted-L2":
+        "1a74bd694cfdcae03a4e1092dc240a2b389099247745dc8886cd167eebf0fe8d",
+    "VII-jackknifed-L2":
+        "98c3e20dd2400770e5f38ff9a629362c7a53a05bc5cfe5fa92bb2ce857915b05",
+    "VII-predicted-L2":
+        "f6f6833e087985affde79d1e0b4ab76672172cc112d1d29657c44b7d41aa9cc6",
+    "VIII-jackknifed-L2":
+        "6c0556fa632d1d88cada1e244ac1ad4fdfb9008c309eefed68dc81755ca13da6",
+}
+
+
+def pipeline_digest(result):
+    h = hashlib.sha256(write_corpus(result.corpus).encode("utf-8"))
+    for key in sorted(result.models):
+        h.update(format_model(result.models[key]).encode("utf-8"))
+    for s in result.stages:
+        h.update(repr((s.stage, s.source, s.values)).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_pipeline_outputs_are_pinned(run):
+    pipeline_id, source, target = run.split("-")
+    train_c, test_c = train_test_pair(repeats=3)
+    spec = named_pipeline(pipeline_id, config=FAST, stage_source=source,
+                          target=target, jackknife_folds=2)
+    res = run_pipeline(spec, train_c, test_c, bundled_schema())
+    assert pipeline_digest(res) == PINNED_RUNS[run]

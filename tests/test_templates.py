@@ -183,7 +183,7 @@ class TestDictionary:
         templates = parse_templates("U00:%x[0,0]\n")
         d = build_dictionary(corpus, templates, label_column=1, cutoff=2)
         assert d.uni_strings == ("U00:a",)
-        assert d.counts["U00:b"] == 1
+        assert d.counts == {"U00:a": 2}  # a model keeps no dropped string
 
     def test_size_matches_brute_force_on_omelette(self):
         templates = parse_templates(default_templates([0]))
