@@ -11,8 +11,6 @@ component).  The ``chaintag`` command line wraps the same code.
 from .corpus import (
     ColumnSchema,
     Corpus,
-    Sentence,
-    Token,
     append_column,
     drop_column,
     load_corpus,
@@ -41,7 +39,6 @@ from .evaluation import (
     EvalReport,
     FoldAssignment,
     cross_validate,
-    fold_table,
     format_report,
     kfold_split,
     partial_credit,
@@ -101,8 +98,6 @@ __all__ = [
     # corpus
     "ColumnSchema",
     "Corpus",
-    "Sentence",
-    "Token",
     "append_column",
     "drop_column",
     "load_corpus",
@@ -176,7 +171,6 @@ __all__ = [
     "EvalReport",
     "FoldAssignment",
     "cross_validate",
-    "fold_table",
     "format_report",
     "kfold_split",
     "partial_credit",

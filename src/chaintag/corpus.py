@@ -5,13 +5,19 @@ by blank lines.  Column 0 is the surface form; remaining columns are
 whatever the schema says (lemma, derived features, gold or predicted tags).
 Lines starting with '#' before the first token are header metadata and are
 kept as the corpus provenance.  All text is NFC-normalized on the way in.
+
+In memory a corpus is a table: one tuple of cells per schema column, all
+in corpus order, and the number of tokens in each sentence.  Every view
+(appending, selecting or dropping columns, gathering sentences) builds
+new column tuples and shares the cells; no object is made per token.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     CorpusFormatError,
@@ -53,68 +59,53 @@ class ColumnSchema:
     def with_column(self, name: str) -> "ColumnSchema":
         return ColumnSchema(self.names + (name,))
 
-    def without_column(self, name: str) -> "ColumnSchema":
-        i = self.index(name)
-        return ColumnSchema(self.names[:i] + self.names[i + 1 :])
-
-
-@dataclass(frozen=True)
-class Token:
-    columns: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.columns or not self.columns[0]:
-            raise CorpusFormatError("token needs a non-empty surface form")
-
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[Token, ...]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise CorpusFormatError("sentence must contain at least one token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def cell(self, position: int, column: int) -> str:
-        return self.tokens[position].columns[column]
-
 
 @dataclass(frozen=True)
 class Corpus:
-    sentences: tuple[Sentence, ...]
+    """A token table: one tuple of cells per schema column, in corpus
+    order, and the number of tokens in each sentence."""
+
+    columns: tuple[tuple[str, ...], ...]
+    lengths: tuple[int, ...]
     schema: ColumnSchema
     provenance: str = ""
 
     def __post_init__(self):
-        width = self.schema.width
-        for s in self.sentences:
-            for t in s.tokens:
-                if len(t.columns) != width:
-                    raise CorpusFormatError(
-                        "token width %d does not match schema width %d"
-                        % (len(t.columns), width)
-                    )
+        if len(self.columns) != self.schema.width:
+            raise CorpusFormatError(
+                "%d columns do not match schema width %d"
+                % (len(self.columns), self.schema.width)
+            )
+        n = sum(self.lengths)
+        if any(len(cells) != n for cells in self.columns):
+            raise CorpusFormatError("every column needs one cell per token (%d)" % n)
+        if min(self.lengths, default=1) < 1:
+            raise CorpusFormatError("sentence must contain at least one token")
+        if "" in self.columns[0]:
+            raise CorpusFormatError("token needs a non-empty surface form")
 
     @property
     def n_sentences(self) -> int:
-        return len(self.sentences)
+        return len(self.lengths)
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return len(self.columns[0])
+
+    @property
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        """(start, end) of each sentence's rows, in corpus order."""
+        ends = tuple(accumulate(self.lengths))
+        return tuple(zip((0,) + ends, ends))
 
     def column(self, name: str) -> list[str]:
         """Flat per-token values of one column, in corpus order."""
-        c = self.schema.index(name)
-        return [t.columns[c] for s in self.sentences for t in s.tokens]
+        return list(self.columns[self.schema.index(name)])
 
     def sentence_column(self, name: str) -> list[list[str]]:
         """Per-sentence lists of one column's values."""
-        c = self.schema.index(name)
-        return [[t.columns[c] for t in s.tokens] for s in self.sentences]
+        cells = self.columns[self.schema.index(name)]
+        return [list(cells[start:end]) for start, end in self.bounds]
 
 
 # How templates spell a row before or after the sentence ("_B-1", "_B+2").
@@ -146,8 +137,9 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
     text = _nfc(text)
     width = schema.width
     provenance_lines: list[str] = []
-    sentences: list[Sentence] = []
-    current: list[Token] = []
+    rows: list[list[str]] = []
+    lengths: list[int] = []
+    start = 0  # the first row of the current sentence
     in_header = True
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -158,9 +150,9 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
             provenance_lines.append(line[2:] if line.startswith("# ") else line[1:])
             continue
         if line == "":
-            if current:
-                sentences.append(Sentence(tuple(current)))
-                current = []
+            if len(rows) > start:
+                lengths.append(len(rows) - start)
+                start = len(rows)
             continue
         in_header = False
         fields = line.split("\t")
@@ -172,13 +164,13 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
             raise CorpusFormatError(
                 "line %d: a cell is spelled like a boundary sentinel" % lineno
             )
-        current.append(Token(tuple(fields)))
-    if current:
-        sentences.append(Sentence(tuple(current)))
+        rows.append(fields)
+    if len(rows) > start:
+        lengths.append(len(rows) - start)
 
-    if not sentences:
+    if not rows:
         raise EmptyCorpusError("no token lines found")
-    return Corpus(tuple(sentences), schema, "\n".join(provenance_lines))
+    return Corpus(tuple(zip(*rows)), tuple(lengths), schema, "\n".join(provenance_lines))
 
 
 def write_corpus(corpus: Corpus) -> str:
@@ -187,10 +179,8 @@ def write_corpus(corpus: Corpus) -> str:
     if corpus.provenance:
         for line in corpus.provenance.split("\n"):
             out.append("# " + line if line else "#")
-    blocks = []
-    for s in corpus.sentences:
-        blocks.append("\n".join("\t".join(t.columns) for t in s.tokens))
-    out.append("\n\n".join(blocks))
+    rows = list(map("\t".join, zip(*corpus.columns)))
+    out.append("\n\n".join("\n".join(rows[start:end]) for start, end in corpus.bounds))
     return "\n".join(out) + "\n"
 
 
@@ -214,41 +204,32 @@ def append_column(corpus: Corpus, name: str, values: list[str]) -> Corpus:
         raise LengthMismatchError(
             "got %d values for %d tokens" % (len(values), corpus.n_tokens)
         )
-    schema = corpus.schema.with_column(name)
-    it = iter(values)
-    sentences = tuple(
-        Sentence(tuple(Token(t.columns + (_nfc(next(it)),)) for t in s.tokens))
-        for s in corpus.sentences
-    )
-    return Corpus(sentences, schema, corpus.provenance)
+    return Corpus(corpus.columns + (tuple(map(_nfc, values)),), corpus.lengths,
+                  corpus.schema.with_column(name), corpus.provenance)
 
 
 def drop_column(corpus: Corpus, name: str) -> Corpus:
     """New corpus without the named column (used to strip gold labels)."""
-    c = corpus.schema.index(name)
-    if c == 0:
+    if corpus.schema.index(name) == 0:
         raise CorpusFormatError("cannot drop the surface-form column")
-    schema = corpus.schema.without_column(name)
-    sentences = tuple(
-        Sentence(tuple(Token(t.columns[:c] + t.columns[c + 1 :]) for t in s.tokens))
-        for s in corpus.sentences
-    )
-    return Corpus(sentences, schema, corpus.provenance)
+    return select_columns(corpus, [n for n in corpus.schema.names if n != name])
 
 
 def select_sentences(corpus: Corpus, indices) -> Corpus:
     """Sub-corpus keeping the given sentence indices, in the given order."""
+    bounds = corpus.bounds
+    picked = [bounds[i] for i in indices]
+    rows = [row for start, end in picked for row in range(start, end)]
     return Corpus(
-        tuple(corpus.sentences[i] for i in indices), corpus.schema, corpus.provenance
+        tuple(tuple(map(cells.__getitem__, rows)) for cells in corpus.columns),
+        tuple(end - start for start, end in picked),
+        corpus.schema,
+        corpus.provenance,
     )
 
 
 def select_columns(corpus: Corpus, names) -> Corpus:
     """New corpus keeping the named columns only, in the given order."""
     picked = tuple(names)
-    cols = [corpus.schema.index(n) for n in picked]
-    sentences = tuple(
-        Sentence(tuple(Token(tuple(t.columns[c] for c in cols)) for t in s.tokens))
-        for s in corpus.sentences
-    )
-    return Corpus(sentences, ColumnSchema(picked), corpus.provenance)
+    return Corpus(tuple(corpus.columns[corpus.schema.index(n)] for n in picked),
+                  corpus.lengths, ColumnSchema(picked), corpus.provenance)

@@ -4,7 +4,7 @@ A lattice holds log-domain scores: per-position per-label unigram scores
 and per-transition label-pair scores.  Viterbi works on those directly.
 
 Training, tagging and marginals first fold a corpus into index space:
-templates.index_features expands every template over all its sentences
+templates.index_features expands every template over the whole corpus
 at once, and only the distinct strings are looked up in the dictionary.
 Each token becomes a row of active unigram blocks, so the unary scores
 are one sparse product with the unigram weights, and each edge a
@@ -47,7 +47,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import daxpy, ddot
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus
 from .errors import (
     ColumnMismatchError,
     EmptyTrainingSetError,
@@ -133,10 +133,16 @@ def _check_width(templates: Sequence[FeatureTemplate], width: int) -> None:
                 )
 
 
-def build_lattice(model: LinearChainModel, sentence: Sentence) -> Lattice:
-    """Sum the weights of firing features; unknown strings contribute 0."""
-    _check_width(model.templates, len(sentence.tokens[0].columns))
-    enc = _encode((sentence,), model.templates, model.dictionary, None)
+def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
+    """The lattice of a one-sentence corpus, such as
+    select_sentences(corpus, [i]): sums the weights of firing features;
+    unknown strings contribute 0."""
+    if corpus.n_sentences != 1:
+        raise LengthMismatchError(
+            "a lattice needs a one-sentence corpus, got %d sentences"
+            % corpus.n_sentences
+        )
+    enc = _encode_for(model, corpus)
     unary, P = _scores(model.weights, enc)
     return Lattice(unary, P[enc.batches[0].classes[0]])
 
@@ -207,24 +213,22 @@ class _Encoded:
 
 
 def _encode(
-    sentences: Sequence[Sentence],
+    corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     dictionary: FeatureDictionary,
     label_column: int | None,
     index: FeatureIndex | None = None,
 ) -> _Encoded:
-    """Fold sentences into index space; gold feature counts are taken only
+    """Fold a corpus into index space; gold feature counts are taken only
     when a label column is given.  Only the distinct expanded strings are
     looked up in the dictionary; transition classes are numbered in order
     of first occurrence."""
     if index is None:
-        index = index_features(sentences, templates)
+        index = index_features(corpus, templates)
     L = dictionary.n_labels
     n_uni = len(dictionary.uni_strings)
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    n_tokens = int(lengths.sum())
+    n_tokens = corpus.n_tokens
+    bounds = list(corpus.bounds)
     uni = dictionary.unigram_rows(index.uni_strings)[index.uni_ids]
     bi = dictionary.bigram_rows(index.bi_strings)[index.bi_ids]
     tokens, slots = np.nonzero(uni >= 0)
@@ -248,14 +252,14 @@ def _encode(
     )
     empirical = None
     if label_column is not None:
-        labels = [token.columns[label_column]
-                  for sentence in sentences for token in sentence.tokens]
+        labels = corpus.columns[label_column]
         y = list(map(dictionary.label_index, labels))
         if None in y:
             raise UnknownLabelError(
                 "label %r not in the model alphabet" % labels[y.index(None)]
             )
         y = np.asarray(y, dtype=np.intp)
+        starts = [start for start, _ in bounds]
         right = np.delete(np.arange(n_tokens), starts)  # token ending each edge
         edges, edge_slots = np.nonzero(bi >= 0)
         hits = np.concatenate([
@@ -268,7 +272,6 @@ def _encode(
         empirical = np.bincount(
             hits, weights=np.ones(len(hits)), minlength=dictionary.n_weights
         )
-    bounds = list(zip(starts.tolist(), ends.tolist()))
     batches = _batch_plan(bounds, rank[inverse.ravel()], L)
     return _Encoded(bounds, activations, transitions, empirical, L, batches)
 
@@ -492,7 +495,7 @@ def objective_and_gradient(
 ):
     """Value and gradient at the model's current weights on labeled data."""
     column = _label_column(data, label_column)
-    enc = _encode(data.sentences, model.templates, model.dictionary, column)
+    enc = _encode(data, model.templates, model.dictionary, column)
     return _objective(model.weights, enc, sigma)
 
 
@@ -523,8 +526,10 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None):
     """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
     directions from the last 10 steps by the two-loop recursion (Liu &
     Nocedal 1989).  Stops as L-BFGS-B does: "converged" once a step lowers
-    the value by at most tolerance * max(|old|, |new|, 1), "gradient" once
-    no gradient entry exceeds 1e-9, "max_iterations", or "line search".
+    the value by at most tolerance * max(|old|, |new|, 1), or once rounding
+    hides any decrease along the search direction; "gradient" once no
+    gradient entry exceeds 1e-9; "max_iterations"; or "line search" when no
+    step is found for any other reason.
     callback(x, value) sees x0 and each accepted point.  Returns the point,
     the number of steps, the number of calls of fun and the stop reason."""
     x, (f, g), calls = x0, fun(x0), 1
@@ -554,6 +559,8 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None):
         calls += trials
         if point is None:
             return x, iteration, calls, "line search"
+        if point is x:
+            return x, iteration, calls, "converged"
         k = iteration % _MEMORY
         np.subtract(point, x, out=S[k])
         np.subtract(g_new, g, out=Y[k])
@@ -567,8 +574,10 @@ def _line_search(fun, x, f0, g0, d, step):
     """A step along d meeting the strong Wolfe conditions, searched in the
     manner of Moré & Thuente: extrapolate by cubic steps until a minimizer
     is bracketed, then zoom by safeguarded cubic steps or bisection.
-    Returns the point, its value, its gradient and the number of calls;
-    the point is None when 20 trials find no such step."""
+    Returns the point, its value, its gradient and the number of calls.
+    When 20 trials find no such step, or rounding leaves none to try, the
+    point is x if rounding hides any decrease left in the bracket, and
+    None otherwise."""
     slope0 = ddot(g0, d)
     lo, hi = (0.0, f0, slope0), None  # (step, value, slope); lo is lowest
     step = np.float64(step)
@@ -602,6 +611,12 @@ def _line_search(fun, x, f0, g0, d, step):
             step = cubic if inner else (a + b) / 2
             if not a < step < b:  # rounding leaves no step to try
                 break
+    # On a convex fun no step in the bracket lowers the value by more than
+    # -slope0 times its far end.  If that, and the lowest value's own
+    # decrease, are within the rounding of f0, no decrease is left to find.
+    rounding = abs(np.spacing(f0))
+    if hi is not None and max(f0 - lo[1], -slope0 * max(lo[0], hi[0])) <= rounding:
+        return x, f0, g0, trial
     return None, None, None, trial
 
 
@@ -642,9 +657,9 @@ def train(
                     "template %s reads the label column %d" % (t.id, m.col)
                 )
     _check_width(templates, corpus.schema.width)
-    index = index_features(corpus.sentences, templates)
+    index = index_features(corpus, templates)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
-    enc = _encode(corpus.sentences, templates, dictionary, column, index)
+    enc = _encode(corpus, templates, dictionary, column, index)
     trace: list[float] = []
 
     def fun(x):
@@ -672,7 +687,7 @@ def train(
 
 def _encode_for(model: LinearChainModel, corpus: Corpus) -> _Encoded:
     _check_width(model.templates, corpus.schema.width)
-    return _encode(corpus.sentences, model.templates, model.dictionary, None)
+    return _encode(corpus, model.templates, model.dictionary, None)
 
 
 def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:

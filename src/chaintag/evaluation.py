@@ -172,14 +172,6 @@ def format_report(report: EvalReport, include_timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fold_table(report: EvalReport) -> str:
-    """Machine-readable per-fold rows: fold, size, accuracy."""
-    lines = ["fold\tsize\taccuracy"]
-    for i, (size, acc) in enumerate(zip(report.fold_sizes, report.fold_accuracies)):
-        lines.append("%d\t%d\t%s" % (i, size, _fmt(acc)))
-    return "\n".join(lines) + "\n"
-
-
 def _top_confusions(gold: Sequence[str], predicted: Sequence[str]):
     counts = Counter(
         (g, p) for g, p in zip(gold, predicted) if g != p

@@ -97,33 +97,37 @@ class PipelineSpec:
         # the spec file format strips values and ends them at line breaks
         if self.label_column.strip().splitlines() != [self.label_column]:
             raise PipelineConfigError("unusable label column %r" % self.label_column)
+        # a spec file names a pipeline by its id, which fixes these fields
+        if self.id != "custom":
+            if self.id not in _NAMED:
+                raise PipelineConfigError(
+                    "unknown pipeline %r (have %s)"
+                    % (self.id, ", ".join(sorted(_NAMED)))
+                )
+            for key, value in zip(_FIXED, _NAMED[self.id]):
+                if getattr(self, key) != value:
+                    raise PipelineConfigError("%r is fixed to %r by pipeline %s" % (
+                        key, getattr(value, "text", value), self.id))
 
 
-NAMED_PIPELINES: dict[str, PipelineSpec] = {}
-for _id in ("I", "II", "III", "IV", "IIIbis", "IVbis"):
-    NAMED_PIPELINES[_id] = PipelineSpec(_id, "direct", RECIPES[_id])
-NAMED_PIPELINES["V"] = PipelineSpec(
-    "V", "cascade", parse_recipe("mot,lemme,D3(lemme)")
-)
-NAMED_PIPELINES["VI"] = PipelineSpec(
-    "VI", "cascade", parse_recipe("mot,Rmot,Rlemme,D3(mot),D3(lemme)")
-)
-NAMED_PIPELINES["VII"] = PipelineSpec(
-    "VII", "decomposed", parse_recipe(COMPONENT_RECIPE_WITH_LEMMA),
-    recombination="crf", recombiner_recipe=parse_recipe("mot,lemme"),
-)
-NAMED_PIPELINES["VIIbis"] = PipelineSpec(
-    "VIIbis", "decomposed", parse_recipe(COMPONENT_RECIPE_WITHOUT_LEMMA),
-    recombination="crf", recombiner_recipe=parse_recipe("mot"),
-)
-NAMED_PIPELINES["VIII"] = PipelineSpec(
-    "VIII", "decomposed", parse_recipe(COMPONENT_RECIPE_WITH_LEMMA),
-    recombination="rules",
-)
-NAMED_PIPELINES["VIIIbis"] = PipelineSpec(
-    "VIIIbis", "decomposed", parse_recipe(COMPONENT_RECIPE_WITHOUT_LEMMA),
-    recombination="rules",
-)
+# The fields each named pipeline fixes, in the order of _FIXED.
+_FIXED = ("strategy", "recipe", "target", "recombination", "recombiner_recipe")
+_NAMED = {
+    **{_id: ("direct", RECIPES[_id], "L2", None, None)
+       for _id in ("I", "II", "III", "IV", "IIIbis", "IVbis")},
+    "V": ("cascade", parse_recipe("mot,lemme,D3(lemme)"), "L2", None, None),
+    "VI": ("cascade", parse_recipe("mot,Rmot,Rlemme,D3(mot),D3(lemme)"), "L2",
+           None, None),
+    "VII": ("decomposed", parse_recipe(COMPONENT_RECIPE_WITH_LEMMA), "L2", "crf",
+            parse_recipe("mot,lemme")),
+    "VIIbis": ("decomposed", parse_recipe(COMPONENT_RECIPE_WITHOUT_LEMMA), "L2",
+               "crf", parse_recipe("mot")),
+    "VIII": ("decomposed", parse_recipe(COMPONENT_RECIPE_WITH_LEMMA), "L2",
+             "rules", None),
+    "VIIIbis": ("decomposed", parse_recipe(COMPONENT_RECIPE_WITHOUT_LEMMA), "L2",
+                "rules", None),
+}
+NAMED_PIPELINES = {_id: PipelineSpec(_id, *fields) for _id, fields in _NAMED.items()}
 
 
 def named_pipeline(pipeline_id: str, **overrides) -> PipelineSpec:
@@ -435,49 +439,22 @@ def parse_pipeline_spec(text: str) -> PipelineSpec:
             tolerance=float(training.get("tolerance", 1e-5)),
             cutoff=int(training.get("cutoff", 1)),
         )
-        overrides: dict = {"config": config}
-        if "stage_source" in p:
-            overrides["stage_source"] = p["stage_source"]
-        if "jackknife_folds" in p:
-            overrides["jackknife_folds"] = int(p["jackknife_folds"])
-        if "seed" in p:
-            overrides["seed"] = int(p["seed"])
-        if "label_column" in p:
-            overrides["label_column"] = p["label_column"]
+        fields: dict = {"config": config}
+        for key in ("strategy", "target", "recombination", "stage_source",
+                    "label_column"):
+            if key in p:
+                fields[key] = p[key]
+        for key in ("recipe", "recombiner_recipe"):
+            if key in p:
+                fields[key] = parse_recipe(p[key])
+        for key in ("jackknife_folds", "seed"):
+            if key in p:
+                fields[key] = int(p[key])
         pipeline_id = p.get("id", "custom")
         if pipeline_id in NAMED_PIPELINES:
-            named = NAMED_PIPELINES[pipeline_id]
-            fixed = {
-                "strategy": named.strategy,
-                "recipe": named.recipe.text,
-                "target": named.target,
-                "recombination": named.recombination,
-                "recombiner_recipe": (
-                    None if named.recombiner_recipe is None
-                    else named.recombiner_recipe.text
-                ),
-            }
-            for key, resolved in fixed.items():
-                if key in p and p[key] != resolved:
-                    raise PipelineConfigError(
-                        "%r is fixed to %r by pipeline %s"
-                        % (key, resolved, pipeline_id)
-                    )
-            return named_pipeline(pipeline_id, **overrides)
-        if pipeline_id != "custom":
-            raise PipelineConfigError("unknown pipeline id %r" % pipeline_id)
+            return named_pipeline(pipeline_id, **fields)
         if "strategy" not in p or "recipe" not in p:
-            raise PipelineConfigError("custom pipelines need strategy and recipe")
-        if "recombination" in p:
-            overrides["recombination"] = p["recombination"]
-        if "recombiner_recipe" in p:
-            overrides["recombiner_recipe"] = parse_recipe(p["recombiner_recipe"])
-        return PipelineSpec(
-            id="custom",
-            strategy=p["strategy"],
-            recipe=parse_recipe(p["recipe"]),
-            target=p.get("target", "L2"),
-            **overrides,
-        )
+            raise PipelineConfigError("unnamed pipelines need strategy and recipe")
+        return PipelineSpec(pipeline_id, **fields)
     except ValueError as err:
         raise PipelineConfigError("bad value in pipeline file: %s" % err) from None

@@ -105,11 +105,6 @@ class TagSchema:
     rules: tuple[CompositionRule, ...] = ()
     render_order: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def level_tags(self, level: str) -> tuple[str, ...]:
-        if level not in LEVELS:
-            raise SchemaError("unknown level %r" % level)
-        return {"L0": self.l0, "L1": self.l1, "L2": self.l2}[level]
-
     def components(self, k: int) -> tuple[str, ...]:
         """Alphabet of component k, inferred from the decomposition map.
 

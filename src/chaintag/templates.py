@@ -8,10 +8,10 @@ Rows outside the sentence substitute boundary sentinels ("_B-1" before,
 "_B+1" after), which parse_corpus and materialize_recipe refuse as cell
 values.
 
-index_features expands every template over a whole run of sentences in
-one pass and interns the strings; the dictionary counts its ids, the CRF
-encodes from it, and expand and active_features are its one-sentence
-views.
+index_features expands every template over a whole corpus in one pass
+and interns the strings; the dictionary counts its ids, the CRF encodes
+from it, and expand and active_features are its views for one sentence
+(a one-sentence corpus, such as select_sentences(corpus, [i])).
 
 The dictionary assigns dense weight indices in blocks: each unigram
 string owns one weight per label, each bigram string one weight per
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus
 from .errors import (
     BadColumnError,
     DuplicateTemplateIdError,
@@ -122,7 +122,7 @@ def default_templates(columns: Sequence[int]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FeatureIndex:
-    """Every template expanded at every position of a run of sentences.
+    """Every template expanded at every position of a corpus.
 
     The strings of each kind are distinct and in first-occurrence order
     (sentence, then position, then template).  Row i of uni_ids holds,
@@ -138,9 +138,9 @@ class FeatureIndex:
 
 
 def index_features(
-    sentences: Sequence[Sentence], templates: Sequence[FeatureTemplate]
+    corpus: Corpus, templates: Sequence[FeatureTemplate]
 ) -> FeatureIndex:
-    """Expand each template once over all the sentences.
+    """Expand each template once over all the corpus's sentences.
 
     Each column a macro reads is laid out once with every sentence
     framed by pad sentinel cells on both sides, pad being the widest
@@ -148,11 +148,10 @@ def index_features(
     once, the frame shifted by r; one str.format per template string
     joins the macro values, and equal strings share one id.
     """
-    rows = [token.columns for sentence in sentences for token in sentence.tokens]
     macros = [m for t in templates for m in t.macros]
-    width = len(rows[0]) if rows else 0
+    width = corpus.schema.width
     for m in macros:
-        if rows and m.col >= width:
+        if m.col >= width:
             raise BadColumnError(
                 "macro column %d out of range (width %d)" % (m.col, width)
             )
@@ -160,22 +159,19 @@ def index_features(
     # Frame slots index into a column's cells followed by the sentinels
     # _B-pad.._B-1 and _B+1.._B+pad; the masks mark the slots of tokens
     # and of the tokens that end an edge.
-    n = len(rows)
-    sentinels = ["_B%d" % -k for k in range(pad, 0, -1)]
-    sentinels += ["_B+%d" % k for k in range(1, pad + 1)]
+    n = corpus.n_tokens
+    sentinels = tuple("_B%d" % -k for k in range(pad, 0, -1))
+    sentinels += tuple("_B+%d" % k for k in range(1, pad + 1))
     slots: list[int] = []
     is_token: list[bool] = []
     is_edge: list[bool] = []
-    start = 0
-    for sentence in sentences:
-        end = start + len(sentence)
+    for start, end in corpus.bounds:
         slots += [*range(n, n + pad), *range(start, end), *range(n + pad, n + 2 * pad)]
-        is_token += [False] * pad + [True] * len(sentence) + [False] * pad
-        is_edge += [False] * (pad + 1) + [True] * (len(sentence) - 1) + [False] * pad
-        start = end
+        is_token += [False] * pad + [True] * (end - start) + [False] * pad
+        is_edge += [False] * (pad + 1) + [True] * (end - start - 1) + [False] * pad
     frames = {}
     for col in {m.col for m in macros}:
-        cells = [row[col] for row in rows] + sentinels
+        cells = corpus.columns[col] + sentinels
         frames[col] = list(map(cells.__getitem__, slots))
 
     def intern(kind, mask, size):
@@ -205,7 +201,7 @@ def index_features(
         return tuple(first), dense[flat].reshape(size, len(streams))
 
     uni_strings, uni_ids = intern("U", is_token, n)
-    bi_strings, bi_ids = intern("B", is_edge, n - len(sentences))
+    bi_strings, bi_ids = intern("B", is_edge, n - corpus.n_sentences)
     return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids)
 
 
@@ -213,18 +209,20 @@ def _lookup(strings: tuple[str, ...], ids: np.ndarray) -> list[list[str]]:
     return np.array(strings, dtype=object)[ids].tolist()
 
 
-def expand(template: FeatureTemplate, sentence: Sentence, position: int) -> str:
-    """The feature string at one position: id, ':', macro values '/'-joined."""
-    index = index_features((sentence,), (replace(template, kind="U"),))
+def expand(template: FeatureTemplate, corpus: Corpus, position: int) -> str:
+    """The feature string at one token, by its position in corpus order:
+    id, ':', macro values '/'-joined."""
+    index = index_features(corpus, (replace(template, kind="U"),))
     return index.uni_strings[index.uni_ids[position, 0]]
 
 
 def active_features(
-    templates: Sequence[FeatureTemplate], sentence: Sentence
+    templates: Sequence[FeatureTemplate], corpus: Corpus
 ) -> tuple[list[list[str]], list[list[str]]]:
-    """Expanded strings per position: unigram lists for positions 0..T-1,
-    bigram lists for the label pairs ending at positions 1..T-1."""
-    index = index_features((sentence,), templates)
+    """Expanded strings in corpus order: unigram lists per token, bigram
+    lists per label pair, which for one sentence end at its positions
+    1..T-1."""
+    index = index_features(corpus, templates)
     return (_lookup(index.uni_strings, index.uni_ids),
             _lookup(index.bi_strings, index.bi_ids))
 
@@ -268,25 +266,6 @@ class FeatureDictionary:
         return np.fromiter(map(self._bi_row.get, strings, repeat(-1)),
                            dtype=np.intp, count=len(strings))
 
-    def unigram_base(self, string: str) -> int | None:
-        row = self._uni_row.get(string)
-        return None if row is None else row * self.n_labels
-
-    def bigram_base(self, string: str) -> int | None:
-        row = self._bi_row.get(string)
-        if row is None:
-            return None
-        n = self.n_labels
-        return len(self.uni_strings) * n + row * n * n
-
-    def unigram_index(self, string: str, label: int) -> int | None:
-        base = self.unigram_base(string)
-        return None if base is None else base + label
-
-    def bigram_index(self, string: str, prev: int, cur: int) -> int | None:
-        base = self.bigram_base(string)
-        return None if base is None else base + prev * self.n_labels + cur
-
 
 def build_dictionary(
     corpus: Corpus,
@@ -302,12 +281,8 @@ def build_dictionary(
     built from the corpus and templates spares a second expansion.
     """
     if index is None:
-        index = index_features(corpus.sentences, templates)
-    labels = dict.fromkeys(
-        token.columns[label_column]
-        for sentence in corpus.sentences
-        for token in sentence.tokens
-    )
+        index = index_features(corpus, templates)
+    labels = dict.fromkeys(corpus.columns[label_column])
     uni_counts = np.bincount(index.uni_ids.ravel(), minlength=len(index.uni_strings))
     bi_counts = np.bincount(index.bi_ids.ravel(), minlength=len(index.bi_strings))
     return FeatureDictionary(

@@ -280,10 +280,9 @@ def test_c06_template_window_reproduces_the_worked_example():
         "comment\nvous\nfaites\nvous\nune\nomelette",
         ColumnSchema(("mot",)),
     )
-    sentence = corpus.sentences[0]
     position = 2  # "faites"
-    assert sentence.tokens[position].columns[0] == "faites"
-    values = [expand(t, sentence, position) for t in templates]
+    assert corpus.columns[0][position] == "faites"
+    values = [expand(t, corpus, position) for t in templates]
     assert values == [
         "U00:comment",
         "U01:vous",

@@ -4,11 +4,10 @@ from hypothesis import given, strategies as st
 from chaintag.corpus import (
     ColumnSchema,
     Corpus,
-    Sentence,
-    Token,
     append_column,
     drop_column,
     parse_corpus,
+    select_columns,
     select_sentences,
     write_corpus,
 )
@@ -23,12 +22,17 @@ from chaintag.errors import (
 S3 = ColumnSchema(("mot", "lemme", "tag"))
 
 
+def row(corpus, i):
+    """The cells of token i, in schema order."""
+    return tuple(cells[i] for cells in corpus.columns)
+
+
 def test_parse_two_token_sentence():
     text = "comment\tcomment\tADV\nvous\tvous\tPPER2P\n\n"
     c = parse_corpus(text, S3)
     assert c.n_sentences == 1
     assert c.n_tokens == 2
-    assert c.sentences[0].tokens[0].columns == ("comment", "comment", "ADV")
+    assert row(c, 0) == ("comment", "comment", "ADV")
 
 
 def test_parse_empty_is_error():
@@ -61,7 +65,7 @@ def test_parse_crlf_lines():
     text = "a\ta\tX\r\n\r\nb\tb\tY\r\n"
     c = parse_corpus(text, S3)
     assert c.n_sentences == 2
-    assert c.sentences[1].tokens[0].columns == ("b", "b", "Y")
+    assert row(c, 1) == ("b", "b", "Y")
 
 
 def test_parse_rejects_a_carriage_return_inside_a_line():
@@ -76,15 +80,15 @@ def test_parse_rejects_a_cell_spelled_like_a_boundary_sentinel():
             with pytest.raises(CorpusFormatError, match="boundary sentinel"):
                 parse_corpus(text, S3)
     for cell in ("_B", "_B-", "_B+0", "_B-1x", "x_B-1", "_b-1"):
-        assert parse_corpus(cell + "\ta\tX\n", S3).sentences[0].cell(0, 0) == cell
+        assert parse_corpus(cell + "\ta\tX\n", S3).columns[0][0] == cell
 
 
 def test_parse_normalizes_to_nfc():
     # e + combining acute vs precomposed e-acute
     decomposed = "été\tété\tN\n"
     c = parse_corpus(decomposed, ColumnSchema(("mot", "lemme", "tag")))
-    tok = c.sentences[0].tokens[0]
-    assert tok.columns[0] == tok.columns[1] == "été"
+    tok = row(c, 0)
+    assert tok[0] == tok[1] == "été"
 
 
 def test_write_single_blank_line_between_blocks():
@@ -101,19 +105,19 @@ def test_roundtrip_with_provenance():
 
 def test_empty_sentence_cannot_be_constructed():
     with pytest.raises(CorpusFormatError):
-        Sentence(())
+        Corpus((("a",), ("b",), ("X",)), (1, 0), S3)
 
 
 def test_token_needs_surface_form():
     with pytest.raises(CorpusFormatError):
-        Token(("", "x", "y"))
+        Corpus((("a", ""), ("x", "x"), ("y", "y")), (2,), S3)
     with pytest.raises(CorpusFormatError):
         parse_corpus("\tx\tY\n", S3)
 
 
 def test_surface_forms_may_contain_spaces():
     c = parse_corpus("en effet\ten effet\tADV\n", S3)
-    assert c.sentences[0].tokens[0].columns[0] == "en effet"
+    assert c.columns[0][0] == "en effet"
 
 
 def test_append_column():
@@ -155,7 +159,7 @@ def test_missing_column_lookup():
 def test_select_sentences_preserves_order():
     c = parse_corpus("a\ta\tX\n\nb\tb\tY\n\nc\tc\tZ\n", S3)
     sub = select_sentences(c, [2, 0])
-    assert [s.tokens[0].columns[0] for s in sub.sentences] == ["c", "a"]
+    assert sub.columns[0] == ("c", "a")
 
 
 # '#' is reserved for header lines, TAB/newline are structural; cells are
@@ -168,24 +172,81 @@ _cell = st.text(
 
 
 @st.composite
-def corpora(draw):
+def tables(draw):
+    """A schema and its sentences, each a list of row tuples."""
     width = draw(st.integers(min_value=1, max_value=4))
     schema = ColumnSchema(tuple("col%d" % i for i in range(width)))
-    n_sent = draw(st.integers(min_value=1, max_value=5))
-    sentences = []
-    for _ in range(n_sent):
-        n_tok = draw(st.integers(min_value=1, max_value=6))
-        sentences.append(
-            Sentence(
-                tuple(
-                    Token(tuple(draw(_cell) for _ in range(width)))
-                    for _ in range(n_tok)
-                )
-            )
-        )
-    return Corpus(tuple(sentences), schema)
+    sentences = draw(st.lists(
+        st.lists(st.tuples(*[_cell] * width), min_size=1, max_size=6),
+        min_size=1, max_size=5,
+    ))
+    return schema, sentences
+
+
+def from_rows(schema, sentences):
+    """The corpus holding the given sentences of row tuples."""
+    rows = [r for sentence in sentences for r in sentence]
+    columns = tuple(tuple(r[k] for r in rows) for k in range(schema.width))
+    return Corpus(columns, tuple(map(len, sentences)), schema)
+
+
+def corpora():
+    return tables().map(lambda table: from_rows(*table))
 
 
 @given(corpora())
 def test_parse_write_roundtrip_property(c):
     assert parse_corpus(write_corpus(c), c.schema) == c
+
+
+@given(tables(), st.data())
+def test_views_match_a_row_wise_reference(table, data):
+    schema, sentences = table
+    c = from_rows(schema, sentences)
+    names = schema.names
+    sizes = [len(sentence) for sentence in sentences]
+    assert c.bounds == tuple(
+        (sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))
+    )
+    for k, name in enumerate(names):
+        assert c.sentence_column(name) == [[r[k] for r in s] for s in sentences]
+        assert c.column(name) == [r[k] for s in sentences for r in s]
+
+    indices = data.draw(st.lists(st.integers(0, len(sentences) - 1), max_size=8))
+    assert select_sentences(c, indices) == from_rows(
+        schema, [sentences[i] for i in indices]
+    )
+
+    picked = data.draw(st.permutations(names))
+    picked = picked[: data.draw(st.integers(1, len(names)))]
+    keep = [names.index(n) for n in picked]
+    assert select_columns(c, picked) == from_rows(
+        ColumnSchema(tuple(picked)),
+        [[tuple(r[k] for k in keep) for r in s] for s in sentences],
+    )
+
+    if len(names) > 1:
+        k = data.draw(st.integers(1, len(names) - 1))
+        assert drop_column(c, names[k]) == from_rows(
+            ColumnSchema(names[:k] + names[k + 1 :]),
+            [[r[:k] + r[k + 1 :] for r in s] for s in sentences],
+        )
+    with pytest.raises(CorpusFormatError):
+        drop_column(c, names[0])
+
+    values = data.draw(st.lists(_cell, min_size=c.n_tokens, max_size=c.n_tokens))
+    it = iter(values)
+    assert append_column(c, "extra", values) == from_rows(
+        schema.with_column("extra"), [[r + (next(it),) for r in s] for s in sentences]
+    )
+
+    text = "\n\n".join("\n".join("\t".join(r) for r in s) for s in sentences)
+    assert write_corpus(c) == text + "\n"
+    assert parse_corpus(text, schema) == c
+
+
+def test_columns_must_fit_the_schema_and_the_lengths():
+    with pytest.raises(CorpusFormatError):  # a column of the wrong length
+        Corpus((("a", "b"), ("a",), ("X", "Y")), (2,), S3)
+    with pytest.raises(CorpusFormatError):  # fewer columns than the schema
+        Corpus((("a",), ("X",)), (1,), S3)

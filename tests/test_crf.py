@@ -11,7 +11,13 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
-from chaintag.corpus import ColumnSchema, Corpus, parse_corpus
+from chaintag.corpus import (
+    ColumnSchema,
+    Corpus,
+    parse_corpus,
+    select_columns,
+    select_sentences,
+)
 from chaintag.crf import (
     UNCONVERGED,
     Lattice,
@@ -47,6 +53,23 @@ OMELETTE = parse_corpus(
     "omelette\tNFS\n",
     SCHEMA,
 )
+
+
+def uni_base(d, s):
+    """The first weight of s's unigram block, or None."""
+    row = int(d.unigram_rows([s])[0])
+    return None if row < 0 else row * d.n_labels
+
+
+def bi_base(d, s):
+    """The first weight of s's bigram block, or None."""
+    row = int(d.bigram_rows([s])[0])
+    return None if row < 0 else (len(d.uni_strings) + row * d.n_labels) * d.n_labels
+
+
+def sentences(corpus):
+    """Each sentence as a one-sentence corpus."""
+    return [select_sentences(corpus, [i]) for i in range(corpus.n_sentences)]
 
 
 def corpus_of(rows):
@@ -116,7 +139,7 @@ class TestBuildLattice:
     def test_zero_weights_give_zero_lattice(self):
         templates = parse_templates(default_templates([0]))
         model = train(OMELETTE, templates, TrainingConfig(max_iterations=0))
-        lattice = build_lattice(model, OMELETTE.sentences[0])
+        lattice = build_lattice(model, OMELETTE)
         assert not lattice.unary.any()
         assert not lattice.pairwise.any()
         assert lattice.unary.shape == (6, 5)
@@ -128,9 +151,9 @@ class TestBuildLattice:
         d = model.dictionary
         weights = np.zeros(d.n_weights)
         label = d.label_index("VINDP2P")
-        weights[d.unigram_index("U00:faites", label)] = 1.5
+        weights[uni_base(d, "U00:faites") + label] = 1.5
         model = replace(model, weights=weights)
-        lattice = build_lattice(model, OMELETTE.sentences[0])
+        lattice = build_lattice(model, OMELETTE)
         expected = np.zeros((6, 5))
         expected[2, label] = 1.5
         assert np.array_equal(lattice.unary, expected)
@@ -142,26 +165,24 @@ class TestBuildLattice:
         model = train(OMELETTE, templates, TrainingConfig(max_iterations=0))
         d = model.dictionary
         model = replace(model, weights=rng.normal(size=d.n_weights))
-        from chaintag.templates import active_features
-
-        for sentence in OMELETTE.sentences:
+        for sentence in sentences(OMELETTE):
             lattice = build_lattice(model, sentence)
             uni, bi = active_features(templates, sentence)
             for t, strings in enumerate(uni):
                 for y in range(d.n_labels):
                     total = sum(
-                        model.weights[d.unigram_index(s, y)]
+                        model.weights[uni_base(d, s) + y]
                         for s in strings
-                        if d.unigram_base(s) is not None
+                        if uni_base(d, s) is not None
                     )
                     assert lattice.unary[t, y] == pytest.approx(total, abs=1e-12)
             for t, strings in enumerate(bi):
                 for prev in range(d.n_labels):
                     for cur in range(d.n_labels):
                         total = sum(
-                            model.weights[d.bigram_index(s, prev, cur)]
+                            model.weights[bi_base(d, s) + prev * d.n_labels + cur]
                             for s in strings
-                            if d.bigram_base(s) is not None
+                            if bi_base(d, s) is not None
                         )
                         assert lattice.pairwise[t, prev, cur] == pytest.approx(
                             total, abs=1e-12
@@ -173,7 +194,14 @@ class TestBuildLattice:
                       TrainingConfig(max_iterations=0))
         model = replace(model, templates=templates)
         with pytest.raises(ColumnMismatchError):
-            build_lattice(model, OMELETTE.sentences[0])
+            build_lattice(model, OMELETTE)
+
+    def test_only_a_one_sentence_corpus_has_a_lattice(self):
+        model = train(OMELETTE, parse_templates("U00:%x[0,0]\n"),
+                      TrainingConfig(max_iterations=0))
+        for indices in ([0, 0], []):
+            with pytest.raises(LengthMismatchError):
+                build_lattice(model, select_sentences(OMELETTE, indices))
 
 
 class TestSequenceScore:
@@ -381,9 +409,11 @@ class TestObjective:
         d = model.dictionary
         _, gradient = objective_and_gradient(model, corpus, sigma=1.0)
         # Each unigram string fires once; expected mass is uniform.
-        assert gradient[d.unigram_index("U00:le", d.label_index("D"))] == pytest.approx(0.5)
-        assert gradient[d.unigram_index("U00:le", d.label_index("N"))] == pytest.approx(-0.5)
-        assert gradient[d.bigram_index("B", d.label_index("D"), d.label_index("N"))] == pytest.approx(0.75)
+        L = d.n_labels
+        assert gradient[uni_base(d, "U00:le") + d.label_index("D")] == pytest.approx(0.5)
+        assert gradient[uni_base(d, "U00:le") + d.label_index("N")] == pytest.approx(-0.5)
+        assert gradient[bi_base(d, "B") + d.label_index("D") * L + d.label_index("N")] \
+            == pytest.approx(0.75)
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=12, deadline=None)
@@ -437,7 +467,7 @@ class TestObjective:
         value, gradient = objective_and_gradient(model, corpus, sigma)
         ref_value = -float(weights @ weights) / (2 * sigma * sigma)
         ref_gradient = -weights / (sigma * sigma)
-        for sentence, labels in zip(corpus.sentences, corpus.sentence_column("tag")):
+        for sentence, labels in zip(sentences(corpus), corpus.sentence_column("tag")):
             y = [d.label_index(label) for label in labels]
             lattice = build_lattice(model, sentence)
             log_z, node, edge = _batched_forward_backward(
@@ -447,15 +477,15 @@ class TestObjective:
             uni, bi = active_features(model.templates, sentence)
             for t, strings in enumerate(uni):
                 for s in strings:
-                    if d.unigram_base(s) is not None:
-                        block = d.unigram_index(s, 0)
+                    if uni_base(d, s) is not None:
+                        block = uni_base(d, s)
                         ref_gradient[block + y[t]] += 1.0
                         ref_gradient[block : block + d.n_labels] -= node[0, t]
             for t, strings in enumerate(bi):
                 for s in strings:
-                    if d.bigram_base(s) is not None:
-                        block = d.bigram_index(s, 0, 0)
-                        ref_gradient[d.bigram_index(s, y[t], y[t + 1])] += 1.0
+                    if bi_base(d, s) is not None:
+                        block = bi_base(d, s)
+                        ref_gradient[block + y[t] * d.n_labels + y[t + 1]] += 1.0
                         ref_gradient[block : block + d.n_labels ** 2] -= edge[0, t].ravel()
         assert np.isfinite(value) and np.isfinite(gradient).all()
         assert value == pytest.approx(ref_value, rel=1e-9)
@@ -494,7 +524,7 @@ class TestTrain:
         templates = parse_templates(default_templates([0]))
         config = TrainingConfig(max_iterations=80)
         model_a = train(SEPARABLE, templates, config)
-        doubled = Corpus(SEPARABLE.sentences + SEPARABLE.sentences, SCHEMA)
+        doubled = select_sentences(SEPARABLE, [*range(SEPARABLE.n_sentences)] * 2)
         model_b = train(doubled, templates, config)
         assert tag(model_a, SEPARABLE) == tag(model_b, SEPARABLE)
 
@@ -515,7 +545,7 @@ class TestTrain:
         assert a.trace == b.trace
 
     def test_empty_training_set_rejected(self):
-        empty = Corpus((), SCHEMA)
+        empty = Corpus(((), ()), (), SCHEMA)
         with pytest.raises(EmptyTrainingSetError):
             train(empty, parse_templates("U00:%x[0,0]\n"))
 
@@ -579,6 +609,23 @@ class TestMinimize:
     def test_a_vanishing_gradient_stops_at_once(self):
         result = minimize(quadratic(np.eye(3), np.ones(3)), np.ones(3), 10, 1e-5)
         assert result[1:] == (0, 1, "gradient")
+
+    @pytest.mark.parametrize("seed", [978, 1568, 2800])
+    def test_a_search_that_rounding_stops_at_the_minimum_is_converged(self, seed):
+        """Near the minimum of these quadratics no trial step lowers the
+        value by more than its rounding: that is convergence, not a failed
+        line search."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        log_condition = rng.uniform(0, 4)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = Q @ np.diag(np.logspace(0, log_condition, n)) @ Q.T
+        b = rng.normal(size=n) * 10
+        fun = quadratic(A, b)
+        x, _, _, stop = minimize(fun, rng.normal(size=n), 200, 1e-8)
+        assert stop == "converged"
+        lowest = fun(np.linalg.solve(A, b))[0]
+        assert fun(x)[0] - lowest <= 1e-12 * abs(lowest)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -653,13 +700,7 @@ class TestTagging:
     def test_converged_model_recovers_gold(self):
         templates = parse_templates(default_templates([0]))
         model = train(SEPARABLE, templates, TrainingConfig(max_iterations=100))
-        unlabeled = Corpus(
-            tuple(
-                type(s)(tuple(type(t)((t.columns[0],)) for t in s.tokens))
-                for s in SEPARABLE.sentences
-            ),
-            ColumnSchema(("mot",)),
-        )
+        unlabeled = select_columns(SEPARABLE, ["mot"])
         assert tag(model, unlabeled) == SEPARABLE.sentence_column("tag")
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, 1e4])
@@ -681,7 +722,7 @@ class TestTagging:
         model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
         rng = np.random.default_rng(int(scale) + 5)
         model = replace(model, weights=scale * rng.uniform(-1, 1, model.weights.size))
-        lattices = [build_lattice(model, s) for s in corpus.sentences]
+        lattices = [build_lattice(model, s) for s in sentences(corpus)]
         expected = [[model.labels[y] for y in viterbi(x)] for x in lattices]
         assert expected == [[model.labels[y] for y in brute_viterbi(x)] for x in lattices]
         if scale == 0.0:
@@ -693,7 +734,7 @@ class TestTagging:
 
     def test_empty_corpus_tags_to_nothing(self):
         model = small_model(OMELETTE)
-        assert tag(model, Corpus((), SCHEMA)) == []
+        assert tag(model, Corpus(((), ()), (), SCHEMA)) == []
 
     def test_unknown_words_are_deterministic(self):
         templates = parse_templates(default_templates([0]))

@@ -6,6 +6,7 @@ and the tags from those strings one position at a time.
 """
 
 import itertools
+from itertools import islice
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
-from chaintag.corpus import ColumnSchema, Corpus, Sentence, Token
+from chaintag.corpus import ColumnSchema, Corpus, select_sentences
 from chaintag.crf import Lattice, TrainingConfig, marginals, sequence_score, tag, train
 from chaintag.templates import (
     FeatureTemplate,
@@ -39,10 +40,8 @@ def corpora(draw):
         st.lists(st.tuples(_CELL, _CELL, _LABEL), min_size=1, max_size=4),
         min_size=1, max_size=4,
     ))
-    return Corpus(
-        tuple(Sentence(tuple(Token(row) for row in rows)) for rows in sentences),
-        SCHEMA,
-    )
+    rows = [row for sentence in sentences for row in sentence]
+    return Corpus(tuple(zip(*rows)), tuple(map(len, sentences)), SCHEMA)
 
 
 @st.composite
@@ -73,9 +72,26 @@ def ref_string(template, rows, i):
     return template.id + ":" + "/".join(values)
 
 
-def ref_features(sentence, templates):
+def sentences_of(corpus):
+    """Each sentence's rows, read from the table's columns and lengths."""
+    rows = iter(zip(*corpus.columns))
+    return [list(islice(rows, n)) for n in corpus.lengths]
+
+
+def uni_base(d, s):
+    """The first weight of s's unigram block, or None."""
+    row = int(d.unigram_rows([s])[0])
+    return None if row < 0 else row * d.n_labels
+
+
+def bi_base(d, s):
+    """The first weight of s's bigram block, or None."""
+    row = int(d.bigram_rows([s])[0])
+    return None if row < 0 else (len(d.uni_strings) + row * d.n_labels) * d.n_labels
+
+
+def ref_features(rows, templates):
     """Unigram strings per position, bigram strings per edge."""
-    rows = [token.columns for token in sentence.tokens]
     uni = [[ref_string(t, rows, i) for t in templates if t.kind == "U"]
            for i in range(len(rows))]
     bi = [[ref_string(t, rows, i) for t in templates if t.kind == "B"]
@@ -86,8 +102,8 @@ def ref_features(sentence, templates):
 def ref_scan(corpus, templates):
     """Counts of each kind, keyed in first-occurrence order."""
     uni, bi = {}, {}
-    for sentence in corpus.sentences:
-        u, b = ref_features(sentence, templates)
+    for rows in sentences_of(corpus):
+        u, b = ref_features(rows, templates)
         for strings in u:
             for s in strings:
                 uni[s] = uni.get(s, 0) + 1
@@ -97,21 +113,21 @@ def ref_scan(corpus, templates):
     return uni, bi
 
 
-def ref_lattice(model, sentence):
+def ref_lattice(model, rows):
     d = model.dictionary
     L = d.n_labels
-    uni, bi = ref_features(sentence, model.templates)
-    unary = np.zeros((len(sentence), L))
-    pairwise = np.zeros((len(sentence) - 1, L, L))
+    uni, bi = ref_features(rows, model.templates)
+    unary = np.zeros((len(rows), L))
+    pairwise = np.zeros((len(rows) - 1, L, L))
     for t, strings in enumerate(uni):
         for s in strings:
-            base = d.unigram_base(s)
+            base = uni_base(d, s)
             if base is not None:
                 unary[t] += model.weights[base : base + L]
     for t, strings in enumerate(bi):
         for s in strings:
-            if d.bigram_base(s) is not None:
-                base = d.bigram_index(s, 0, 0)
+            base = bi_base(d, s)
+            if base is not None:
                 pairwise[t] += model.weights[base : base + L * L].reshape(L, L)
     return Lattice(unary, pairwise)
 
@@ -150,12 +166,12 @@ def edge_classes(enc):
 def test_index_matches_the_per_position_reference(corpus, templates, cutoff, seed):
     uni_counts, bi_counts = ref_scan(corpus, templates)
 
-    index = index_features(corpus.sentences, templates)
+    index = index_features(corpus, templates)
     assert index.uni_strings == tuple(uni_counts)
     assert index.bi_strings == tuple(bi_counts)
     expected_uni, expected_bi = [], []
-    for sentence in corpus.sentences:
-        u, b = ref_features(sentence, templates)
+    for rows in sentences_of(corpus):
+        u, b = ref_features(rows, templates)
         expected_uni += u
         expected_bi += b
     assert [[index.uni_strings[i] for i in row] for row in index.uni_ids.tolist()] \
@@ -173,28 +189,28 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     assert list(d.counts) == [s for s, _ in retained]
 
     L = d.n_labels
-    enc = crf._encode(corpus.sentences, templates, d, 2)
+    enc = crf._encode(corpus, templates, d, 2)
     activations = np.zeros((corpus.n_tokens, len(d.uni_strings)))
     empirical = np.zeros(d.n_weights)
     classes: dict[tuple, int] = {}
     edges = []
     for t, strings in enumerate(expected_uni):
         for s in strings:
-            if d.unigram_base(s) is not None:
-                activations[t, d.unigram_base(s) // L] += 1
-    for sentence, labels in zip(corpus.sentences, corpus.sentence_column("tag")):
+            if uni_base(d, s) is not None:
+                activations[t, uni_base(d, s) // L] += 1
+    for rows, labels in zip(sentences_of(corpus), corpus.sentence_column("tag")):
         y = [d.label_index(label) for label in labels]
-        u, b = ref_features(sentence, templates)
+        u, b = ref_features(rows, templates)
         for t, strings in enumerate(u):
             for s in strings:
-                if d.unigram_base(s) is not None:
-                    empirical[d.unigram_index(s, y[t])] += 1
+                if uni_base(d, s) is not None:
+                    empirical[uni_base(d, s) + y[t]] += 1
         for t, strings in enumerate(b):
             active = []
             for s in strings:
-                if d.bigram_base(s) is not None:
+                if bi_base(d, s) is not None:
                     active.append(d.bi_strings.index(s))
-                    empirical[d.bigram_index(s, y[t], y[t + 1])] += 1
+                    empirical[bi_base(d, s) + y[t] * L + y[t + 1]] += 1
             edges.append(classes.setdefault(tuple(active), len(classes)))
     transitions = np.zeros((len(classes), len(d.bi_strings)))
     for active, k in classes.items():
@@ -204,7 +220,7 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     assert np.array_equal(enc.transitions.toarray(), transitions)
     assert edge_classes(enc) == edges
     assert enc.bounds == [
-        (sum(map(len, corpus.sentences[:i])), sum(map(len, corpus.sentences[: i + 1])))
+        (sum(corpus.lengths[:i]), sum(corpus.lengths[: i + 1]))
         for i in range(corpus.n_sentences)
     ]
 
@@ -213,24 +229,22 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     rng = np.random.default_rng(seed)
     model = replace(model, weights=rng.integers(-2, 3, d.n_weights).astype(float))
     nodes = marginals(model, corpus)
-    for sentence, labels, node in zip(corpus.sentences, tag(model, corpus), nodes):
-        lattice = ref_lattice(model, sentence)
+    for i, (rows, labels, node) in enumerate(
+            zip(sentences_of(corpus), tag(model, corpus), nodes)):
+        lattice = ref_lattice(model, rows)
         best, ref_node = brute_best_and_node(lattice)
         assert labels == [model.labels[y] for y in best]
         assert node == pytest.approx(ref_node, abs=1e-9)
-        built = crf.build_lattice(model, sentence)
+        built = crf.build_lattice(model, select_sentences(corpus, [i]))
         assert np.array_equal(built.unary, lattice.unary)
         assert np.array_equal(built.pairwise, lattice.pairwise)
 
 
 def test_values_joined_across_a_slash_collide_into_one_string():
     # "a/b" + "c" and "a" + "b/c" both read "U0:a/b/c": one string, two hits
-    corpus = Corpus((
-        Sentence((Token(("a/b", "c", "X")),)),
-        Sentence((Token(("a", "b/c", "Y")),)),
-    ), SCHEMA)
+    corpus = Corpus((("a/b", "a"), ("c", "b/c"), ("X", "Y")), (1, 1), SCHEMA)
     templates = parse_templates("U0:%x[0,0]/%x[0,1]\nB\n")
-    index = index_features(corpus.sentences, templates)
+    index = index_features(corpus, templates)
     assert index.uni_strings == ("U0:a/b/c",)
     assert index.uni_ids.tolist() == [[0], [0]]
     assert index.bi_ids.shape == (0, 1)
@@ -240,17 +254,15 @@ def test_values_joined_across_a_slash_collide_into_one_string():
 
 
 def test_braces_and_percent_signs_in_cells_are_copied_verbatim():
-    corpus = Corpus((Sentence((
-        Token(("{}", "{0}", "X")), Token(("%s", "%x[0,0]", "Y")),
-    )),), SCHEMA)
+    corpus = Corpus((("{}", "%s"), ("{0}", "%x[0,0]"), ("X", "Y")), (2,), SCHEMA)
     templates = parse_templates("U0:%x[0,0]/%x[-1,1]\nB1:%x[0,1]\n")
-    index = index_features(corpus.sentences, templates)
+    index = index_features(corpus, templates)
     assert index.uni_strings == ("U0:{}/_B-1", "U0:%s/{0}")
     assert index.bi_strings == ("B1:%x[0,0]",)
 
 
 def test_an_empty_run_of_sentences_has_no_strings():
     templates = parse_templates("U0:%x[-1,0]\nB\n")
-    index = index_features((), templates)
+    index = index_features(Corpus(((), (), ()), (), SCHEMA), templates)
     assert index.uni_strings == () and index.bi_strings == ()
     assert index.uni_ids.shape == (0, 1) and index.bi_ids.shape == (0, 1)

@@ -1,6 +1,7 @@
 """Tests for the direct, cascade, and decomposed learning strategies."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,23 +99,30 @@ def test_named_pipeline_override_and_unknown():
 def test_spec_validation():
     recipe = parse_recipe("mot")
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "flat", recipe)
+        PipelineSpec("custom", "flat", recipe)
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "direct", recipe, stage_source="oracle")
+        PipelineSpec("custom", "direct", recipe, stage_source="oracle")
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "direct", recipe, target="L3")
+        PipelineSpec("custom", "direct", recipe, target="L3")
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "decomposed", recipe)
+        PipelineSpec("custom", "decomposed", recipe)
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "decomposed", recipe, recombination="crf")
+        PipelineSpec("custom", "decomposed", recipe, recombination="crf")
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "direct", recipe, recombination="rules")
+        PipelineSpec("custom", "direct", recipe, recombination="rules")
     with pytest.raises(PipelineConfigError):
-        PipelineSpec("x", "direct", recipe, jackknife_folds=1)
+        PipelineSpec("custom", "direct", recipe, jackknife_folds=1)
+    # ids a spec file could not read back
+    with pytest.raises(PipelineConfigError, match="unknown pipeline"):
+        PipelineSpec("x", "direct", recipe)
+    with pytest.raises(PipelineConfigError, match="'recipe' is fixed"):
+        PipelineSpec("IV", "direct", recipe)
+    with pytest.raises(PipelineConfigError, match="'target' is fixed"):
+        named_pipeline("IVbis", target="L0")
     # label columns that the spec file would strip or split
     for label in ("", "  tag ", "tag\x85", "a\nb", "tag\u2028", "tag\r"):
         with pytest.raises(PipelineConfigError):
-            PipelineSpec("x", "direct", recipe, label_column=label)
+            PipelineSpec("custom", "direct", recipe, label_column=label)
         with pytest.raises(PipelineConfigError):
             named_pipeline("IV", label_column=label)
     assert named_pipeline("IV", label_column="a b").label_column == "a b"
@@ -154,7 +162,7 @@ def test_direct_needs_the_lemma_column_when_the_recipe_does():
 
 def test_direct_lower_target_needs_a_schema():
     train_c, test_c = train_test_pair()
-    spec = named_pipeline("IVbis", config=FAST, target="L0")
+    spec = replace(named_pipeline("IVbis", config=FAST), id="custom", target="L0")
     with pytest.raises(PipelineConfigError):
         run_pipeline(spec, train_c, test_c)
     schema = bundled_schema()
@@ -418,21 +426,23 @@ def spec_builders(draw):
         jackknife_folds=draw(st.integers(1, 12)),
         stage_source=draw(st.sampled_from(STAGE_SOURCES)),
     )
-    pipeline_id = draw(st.sampled_from(sorted(NAMED_PIPELINES) + ["custom"]))
-    if pipeline_id == "custom":
-        fields.update(
-            strategy=draw(st.sampled_from(["direct", "cascade", "decomposed"])),
-            recipe=parse_recipe(draw(_RECIPES)),
-            target=draw(st.sampled_from(["L0", "L1", "L2"])),
-            recombination=draw(st.sampled_from([None, "crf", "rules"])),
-            recombiner_recipe=draw(st.none() | _RECIPES.map(parse_recipe)),
-        )
+    pipeline_id = draw(st.sampled_from(sorted(NAMED_PIPELINES) + ["custom"])
+                       | st.text(max_size=8))
+    fixed = dict(
+        strategy=draw(st.sampled_from(["direct", "cascade", "decomposed"])),
+        recipe=parse_recipe(draw(_RECIPES)),
+        target=draw(st.sampled_from(["L0", "L1", "L2"])),
+        recombination=draw(st.sampled_from([None, "crf", "rules"])),
+        recombiner_recipe=draw(st.none() | _RECIPES.map(parse_recipe)),
+    )
+    if pipeline_id in NAMED_PIPELINES:  # override some of the fixed fields
+        for key in set(fixed) - draw(st.sets(st.sampled_from(sorted(fixed)))):
+            fixed[key] = getattr(NAMED_PIPELINES[pipeline_id], key)
+    fields.update(fixed)
 
     def build():
         fields["config"] = TrainingConfig(**config)
-        if pipeline_id == "custom":
-            return PipelineSpec(pipeline_id, **fields)
-        return named_pipeline(pipeline_id, **fields)
+        return PipelineSpec(pipeline_id, **fields)
 
     return build
 
@@ -483,7 +493,7 @@ def pipeline_digest(result):
 def test_pipeline_outputs_are_pinned(run):
     pipeline_id, source, target = run.split("-")
     train_c, test_c = train_test_pair(repeats=3)
-    spec = named_pipeline(pipeline_id, config=FAST, stage_source=source,
-                          target=target, jackknife_folds=2)
+    spec = replace(named_pipeline(pipeline_id), id="custom", config=FAST,
+                   stage_source=source, target=target, jackknife_folds=2)
     res = run_pipeline(spec, train_c, test_c, bundled_schema())
     assert pipeline_digest(res) == PINNED_RUNS[run]

@@ -33,10 +33,6 @@ OMELETTE = parse_corpus(
 )
 
 
-def sentence(text, schema=SCHEMA):
-    return parse_corpus(text, schema).sentences[0]
-
-
 class TestParsing:
     def test_unigram_with_one_macro(self):
         (t,) = parse_templates("U00:%x[0,0]\n")
@@ -79,14 +75,14 @@ class TestParsing:
 class TestExpansion:
     def test_current_token(self):
         t = parse_templates("U00:%x[0,0]\n")[0]
-        assert expand(t, OMELETTE.sentences[0], 2) == "U00:faites"
+        assert expand(t, OMELETTE, 2) == "U00:faites"
 
     def test_window_around_current_token(self):
         t = parse_templates("U03:%x[-2,0]/%x[-1,0]/%x[1,0]/%x[2,0]\n")[0]
-        assert expand(t, OMELETTE.sentences[0], 2) == "U03:comment/vous/vous/une"
+        assert expand(t, OMELETTE, 2) == "U03:comment/vous/vous/une"
 
     def test_left_boundary_sentinels(self):
-        s = OMELETTE.sentences[0]
+        s = OMELETTE
         t1 = parse_templates("U01:%x[-1,0]\n")[0]
         t2 = parse_templates("U02:%x[-2,0]\n")[0]
         assert expand(t1, s, 0) == "U01:_B-1"
@@ -94,7 +90,7 @@ class TestExpansion:
         assert expand(t2, s, 1) == "U02:_B-1"
 
     def test_right_boundary_sentinels(self):
-        s = OMELETTE.sentences[0]
+        s = OMELETTE
         t1 = parse_templates("U01:%x[1,0]\n")[0]
         t2 = parse_templates("U02:%x[2,0]\n")[0]
         assert expand(t1, s, 5) == "U01:_B+1"
@@ -103,15 +99,15 @@ class TestExpansion:
 
     def test_no_macro_template_expands_to_its_id(self):
         t = parse_templates("B\n")[0]
-        assert expand(t, OMELETTE.sentences[0], 3) == "B"
+        assert expand(t, OMELETTE, 3) == "B"
 
     def test_out_of_range_column_rejected(self):
         t = parse_templates("U00:%x[0,9]\n")[0]
         with pytest.raises(BadColumnError):
-            expand(t, OMELETTE.sentences[0], 0)
+            expand(t, OMELETTE, 0)
 
     def test_other_columns_are_reachable(self):
-        s = sentence("le\tDETDEFMS\nsel\tNMS\n")
+        s = parse_corpus("le\tDETDEFMS\nsel\tNMS\n", SCHEMA)
         t = parse_templates("U00:%x[0,1]\n")[0]
         assert expand(t, s, 1) == "U00:NMS"
 
@@ -142,8 +138,9 @@ class TestDefaultTemplates:
 def brute_force_sizes(corpus, templates):
     """Independent enumeration of distinct expanded strings per kind."""
     uni, bi = set(), set()
-    for s in corpus.sentences:
-        rows = [t.columns for t in s.tokens]
+    table = list(zip(*corpus.columns))
+    for start, end in corpus.bounds:
+        rows = table[start:end]
         for template in templates:
             positions = range(len(rows)) if template.kind == "U" else range(1, len(rows))
             for i in positions:
@@ -171,7 +168,7 @@ class TestDictionary:
         d = build_dictionary(corpus, templates, label_column=1)
         assert d.n_weights == 1
         assert d.labels == ("NMS",)
-        assert d.unigram_index("U00:sel", 0) == 0
+        assert d.unigram_rows(["U00:sel"]).tolist() == [0]  # weights 0 * 1 + label
 
     def test_huge_cutoff_empties_the_dictionary(self):
         templates = parse_templates(default_templates([0]))
@@ -198,18 +195,17 @@ class TestDictionary:
         corpus = parse_corpus("le\tD\nsel\tN\n", SCHEMA)
         d = build_dictionary(corpus, templates, label_column=1)
         assert d.labels == ("D", "N")
-        assert d.unigram_base("U00:le") == 0
-        assert d.unigram_base("U00:sel") == 2
-        assert d.bigram_base("B") == 4
-        assert d.bigram_index("B", 1, 0) == 4 + 1 * 2 + 0
+        L = d.n_labels
+        assert (d.unigram_rows(["U00:le", "U00:sel"]) * L).tolist() == [0, 2]
+        assert (len(d.uni_strings) * L + d.bigram_rows(["B"]) * L * L).tolist() == [4]
         assert d.n_weights == 8
 
     def test_missing_strings_return_none(self):
         templates = parse_templates("U00:%x[0,0]\nB\n")
         corpus = parse_corpus("le\tD\n", SCHEMA)
         d = build_dictionary(corpus, templates, label_column=1)
-        assert d.unigram_base("U00:la") is None
-        assert d.bigram_base("B") is None  # one token, no label pair
+        assert d.unigram_rows(["U00:la"]).tolist() == [-1]
+        assert d.bigram_rows(["B"]).tolist() == [-1]  # one token, no label pair
 
     def test_determinism(self):
         templates = parse_templates(default_templates([0]))
@@ -236,7 +232,7 @@ class TestDictionary:
 
     def test_active_features_cover_all_positions(self):
         templates = parse_templates(default_templates([0]))
-        uni, bi = active_features(templates, OMELETTE.sentences[0])
+        uni, bi = active_features(templates, OMELETTE)
         assert len(uni) == 6
         assert len(bi) == 5
         assert all(len(strings) == 7 for strings in uni)
