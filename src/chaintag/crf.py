@@ -9,8 +9,16 @@ at once, and only the distinct strings are looked up in the dictionary.
 Each token becomes a row of active unigram blocks, so the unary scores
 are one sparse product with the unigram weights, and each edge a
 transition class, the tuple of its active bigram blocks, with one
-transition matrix per class.  Tagging runs Viterbi over batches of
-same-length sentences; viterbi(lattice) is its one-sentence case.
+transition matrix per class.
+
+The rows are in a packed layout (PyTorch's PackedSequence lays out
+sequences the same way): sentences sorted by length, longest first, and
+their tokens time-major, so step t holds the sentences longer than t,
+a prefix of step t-1's.  Every step is a slice of the rows, nothing is
+padded or masked, and one Python loop over the steps serves the whole
+corpus.  Viterbi and forward-backward both run over this layout;
+viterbi(lattice) and forward_backward(lattice) are their one-sentence
+case.
 
 Forward-backward uses the scaled probability-domain recursion (Sutton &
 McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
@@ -21,9 +29,9 @@ plus the subtracted maxima.  Edges that share their active bigram rows
 share one transition matrix, so the expected transition counts come out
 as one matrix product per distinct matrix; no per-edge label-pair tensor
 is formed.  The scaled values stay normal doubles only while the scores
-of a batch spread less than about 690 nats; a batch that spreads wider
-is recomputed by the log-domain recursion, which is also the reference
-the tests compare against.
+of a call spread less than about 690 nats; a call that spreads wider
+runs the log-domain recursion on the same layout, which is also the
+reference the tests compare against.
 
 Training maximizes the L2-regularized conditional log-likelihood, whose
 value and gradient are exact, with the L-BFGS of ``minimize``: the
@@ -144,7 +152,7 @@ def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
         )
     enc = _encode_for(model, corpus)
     unary, P = _scores(model.weights, enc)
-    return Lattice(unary, P[enc.batches[0].classes[0]])
+    return Lattice(unary, P[enc.classes])
 
 
 def sequence_score(lattice: Lattice, labels: Sequence[int]) -> float:
@@ -166,9 +174,9 @@ def forward_backward(lattice: Lattice):
     transition class."""
     T = lattice.n_positions
     log_z, node, edge = _forward_backward(
-        lattice.unary[None], lattice.pairwise, np.arange(T - 1)[None]
+        lattice.unary, lattice.pairwise, np.arange(T - 1), [1] * T
     )
-    return float(log_z[0]), node[0], edge
+    return float(log_z), node, edge
 
 
 def viterbi(lattice: Lattice) -> list[int]:
@@ -180,36 +188,45 @@ def viterbi(lattice: Lattice) -> list[int]:
     """
     T = lattice.n_positions
     return _viterbi(
-        lattice.unary[None], lattice.pairwise, np.arange(T - 1)[None]
-    )[0].tolist()
+        lattice.unary, lattice.pairwise, np.arange(T - 1), [1] * T
+    ).tolist()
 
 
 # --- inference and training ------------------------------------------
 
 
 @dataclass(eq=False)
-class _Batch:
-    """Same-length sentences, stacked so forward-backward runs over all of
-    them at once."""
-
-    token_index: np.ndarray  # (B, T) into the flat token axis
-    classes: np.ndarray  # (B, T-1) transition class of each edge
-
-
-@dataclass(eq=False)
 class _Encoded:
-    """A corpus folded into index space against a fixed dictionary.
+    """A corpus folded into index space against a fixed dictionary, in the
+    packed layout.
 
-    An edge's transition class is the tuple of its active bigram rows;
-    the edges of one class share one transition matrix.
+    Sentences are sorted by length, longest first (a stable sort), and
+    their tokens laid out time-major: step t holds position t of the
+    sizes[t] sentences longer than t, in sorted order, so they are a
+    prefix of step t-1's rows.  Row r of activations is the token at
+    corpus position packed[r].  Each row past step 0 ends an edge, and
+    classes[r - sizes[0]] is that edge's transition class: the tuple of
+    its active bigram rows, whose edges share one transition matrix.
     """
 
     bounds: list[tuple[int, int]]
-    activations: sparse.csr_matrix  # tokens x unigram strings
+    packed: np.ndarray  # the corpus position of each row
+    sizes: list[int]  # rows at each step
+    classes: np.ndarray  # transition class of the edge ending each row past step 0
+    activations: sparse.csr_matrix  # rows x unigram strings
     transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
     empirical: np.ndarray | None  # gold feature counts, when labeled
     n_labels: int
-    batches: list[_Batch]
+
+    def __post_init__(self):
+        # scipy builds a new matrix object on every .T
+        self.activations_T = self.activations.T
+        self.transitions_T = self.transitions.T
+
+    def in_corpus_order(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rows)
+        out[self.packed] = rows
+        return out
 
 
 def _encode(
@@ -222,20 +239,18 @@ def _encode(
     """Fold a corpus into index space; gold feature counts are taken only
     when a label column is given.  Only the distinct expanded strings are
     looked up in the dictionary; transition classes are numbered in order
-    of first occurrence."""
+    of first occurrence in the corpus."""
     if index is None:
         index = index_features(corpus, templates)
     L = dictionary.n_labels
     n_uni = len(dictionary.uni_strings)
     n_tokens = corpus.n_tokens
-    bounds = list(corpus.bounds)
+    lengths = np.asarray(corpus.lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
     uni = dictionary.unigram_rows(index.uni_strings)[index.uni_ids]
     bi = dictionary.bigram_rows(index.bi_strings)[index.bi_ids]
     tokens, slots = np.nonzero(uni >= 0)
     uni_rows = uni[tokens, slots]
-    activations = sparse.csr_matrix(
-        (np.ones(len(tokens)), (tokens, uni_rows)), shape=(n_tokens, n_uni)
-    )
     # an edge's class is its row of active bigram blocks (-1 where absent);
     # a block belongs to one template, so this is the tuple of active blocks
     unique, first, inverse = np.unique(
@@ -259,7 +274,6 @@ def _encode(
                 "label %r not in the model alphabet" % labels[y.index(None)]
             )
         y = np.asarray(y, dtype=np.intp)
-        starts = [start for start, _ in bounds]
         right = np.delete(np.arange(n_tokens), starts)  # token ending each edge
         edges, edge_slots = np.nonzero(bi >= 0)
         hits = np.concatenate([
@@ -272,33 +286,22 @@ def _encode(
         empirical = np.bincount(
             hits, weights=np.ones(len(hits)), minlength=dictionary.n_weights
         )
-    batches = _batch_plan(bounds, rank[inverse.ravel()], L)
-    return _Encoded(bounds, activations, transitions, empirical, L, batches)
-
-
-# Cap on the cells (sentences x positions x labels) of one batch, to bound
-# the memory of the forward and backward tables.
-_BATCH_CELL_CAP = 2_000_000
-
-
-def _batch_plan(bounds, edge_classes, n_labels):
-    """Group same-length sentences for the vectorized forward-backward."""
-    by_length: dict[int, list[int]] = {}
-    for i, (start, end) in enumerate(bounds):
-        by_length.setdefault(end - start, []).append(i)
-    batches = []
-    for T in sorted(by_length):
-        indices = np.asarray(by_length[T])
-        step = max(1, _BATCH_CELL_CAP // (T * n_labels))
-        for lo in range(0, len(indices), step):
-            chunk = indices[lo : lo + step]
-            starts = np.asarray([bounds[i][0] for i in chunk])
-            # sentence i's edges start at flat edge index start_i - i
-            batches.append(_Batch(
-                token_index=starts[:, None] + np.arange(T),
-                classes=edge_classes[(starts - chunk)[:, None] + np.arange(T - 1)],
-            ))
-    return batches
+    # the packed layout: row r is token step[r] of sentence by_length[row[r]]
+    by_length = np.argsort(-lengths, kind="stable")
+    sizes = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    row = np.arange(n_tokens) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sentence = by_length[row]
+    packed = starts[sentence] + step
+    position = np.empty(n_tokens, dtype=np.intp)
+    position[packed] = np.arange(n_tokens)
+    activations = sparse.csr_matrix(
+        (np.ones(len(tokens)), (position[tokens], uni_rows)), shape=(n_tokens, n_uni)
+    )
+    # sentence i's edges start at corpus edge index start_i - i
+    edge = (packed - sentence - 1)[len(lengths):]
+    return _Encoded(list(corpus.bounds), packed, sizes.tolist(),
+                    rank[inverse.ravel()][edge], activations, transitions, empirical, L)
 
 
 # The scaled recursion runs when the largest unary-row range plus the
@@ -308,49 +311,60 @@ def _batch_plan(bounds, edge_classes, n_labels):
 _MAX_SPREAD = 690.0
 
 
-def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray):
-    """Exact forward-backward over a batch of same-length chains.
+def _steps(sizes: list[int]) -> list[tuple[int, int]]:
+    """The rows of each step of the packed layout."""
+    ends = list(itertools.accumulate(sizes))
+    return list(zip([0] + ends, ends))
 
-    U is (B, T, L) unary scores, P is (K, L, L) transition scores per
-    class and classes is (B, T-1), the class of each edge.  Returns log Z
-    (B,), node marginals (B, T, L) and the expected label-pair counts of
-    each class, summed over the batch's edges (K, L, L).
+
+def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes):
+    """Exact forward-backward over chains in the packed layout.
+
+    U is (rows, L) unary scores, P is (K, L, L) transition scores per
+    class, classes holds the class of the edge ending each row past step
+    0 and sizes the rows of each step (see _Encoded).  Returns log Z summed
+    over the chains, node marginals (rows, L) and the expected label-pair
+    counts of each class, summed over its edges (K, L, L).
     """
-    B, T, L = U.shape
-    u_max = U.max(axis=2, keepdims=True)
+    n, L = U.shape
+    u_max = U.max(axis=1, keepdims=True)
     p_max = P.max(axis=(1, 2), keepdims=True)
-    spread = ((u_max - U.min(axis=2, keepdims=True)).max(initial=0.0)
+    spread = ((u_max - U.min(axis=1, keepdims=True)).max(initial=0.0)
               + (p_max - P.min(axis=(1, 2), keepdims=True)).max(initial=0.0))
     if not spread + np.log(L) < _MAX_SPREAD:
-        log_z, node, edge = _batched_forward_backward(U, P[classes])
-        expected = np.zeros(P.shape)
-        np.add.at(expected, classes.ravel(), edge.reshape(-1, L, L))
-        return log_z, node, expected
+        return _log_forward_backward(U, P, classes, sizes)
     psi = np.exp(U - u_max)
     E = np.exp(P - p_max)
+    steps = _steps(sizes)
+    first = sizes[0] if sizes else 0  # rows past it end an edge
     alpha = np.empty_like(psi)
-    scale = np.empty((B, T))
-    a = psi[:, 0]
-    for t in range(T):
+    scale = np.empty(n)
+    for t, (lo, hi) in enumerate(steps):
+        a = psi[lo:hi]
         if t:
-            a = _times(alpha[:, t - 1], E, classes[:, t - 1]) * psi[:, t]
-        scale[:, t] = a.sum(axis=1)
-        alpha[:, t] = a / scale[:, t, None]
-    beta = np.empty_like(psi)
-    beta[:, T - 1] = 1.0
-    right = np.empty((B, T - 1, L))  # psi * beta / scale after each edge
-    for t in range(T - 2, -1, -1):
-        right[:, t] = psi[:, t + 1] * beta[:, t + 1] / scale[:, t + 1, None]
-        beta[:, t] = _times(right[:, t], E.transpose(0, 2, 1), classes[:, t])
-    log_z = (np.log(scale).sum(axis=1) + u_max.sum(axis=(1, 2))
-             + p_max.ravel()[classes].sum(axis=1))
-    expected = np.zeros(P.shape)
-    left_rows = alpha[:, :-1].reshape(-1, L)
-    right_rows = right.reshape(-1, L)
-    flat = classes.ravel()
-    for k in np.unique(flat):
-        edges = flat == k
-        expected[k] = E[k] * (left_rows[edges].T @ right_rows[edges])
+            before = steps[t - 1][0]
+            into = classes[lo - first : hi - first]
+            a = _times(alpha[before : before + hi - lo], E, into) * a
+        scale[lo:hi] = a.sum(axis=1)
+        alpha[lo:hi] = a / scale[lo:hi, None]
+    beta = np.ones_like(psi)  # 1 at the last token of each chain
+    left = np.empty((n - first, L))  # alpha where each edge starts
+    right = np.empty((n - first, L))  # psi * beta / scale where it ends
+    for t in range(len(steps) - 1, 0, -1):
+        (lo, hi), before = steps[t], steps[t - 1][0]
+        edges = slice(lo - first, hi - first)
+        left[edges] = alpha[before : before + hi - lo]
+        right[edges] = psi[lo:hi] * beta[lo:hi] / scale[lo:hi, None]
+        beta[before : before + hi - lo] = _times(
+            right[edges], E.transpose(0, 2, 1), classes[edges])
+    log_z = np.log(scale).sum() + u_max.sum() + p_max.ravel()[classes].sum()
+    if len(P) == 1:
+        expected = E * (left.T @ right)
+    else:
+        expected = np.zeros(P.shape)
+        for k in np.unique(classes):
+            edges = classes == k
+            expected[k] = E[k] * (left[edges].T @ right[edges])
     return log_z, alpha * beta, expected
 
 
@@ -365,49 +379,47 @@ def _times(vectors: np.ndarray, matrices: np.ndarray, classes: np.ndarray):
     return out
 
 
-def _batched_forward_backward(U: np.ndarray, P: np.ndarray):
-    """Log-domain forward-backward over a stack of same-length lattices.
+def _log_forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes):
+    """Log-domain forward-backward with _forward_backward's arguments and
+    results.  It stays finite at any finite scores, at the cost of an exp
+    over every edge's label-pair scores, so it runs only when the scores
+    spread too wide for the scaled recursion."""
+    steps = _steps(sizes)
+    first = sizes[0] if sizes else 0
+    alpha = U.copy()
+    log_z = np.empty(first)  # per chain, from its last token's alpha
+    for t, (lo, hi) in enumerate(steps):
+        if t:
+            before = steps[t - 1][0]
+            alpha[lo:hi] += _logsumexp(
+                alpha[before : before + hi - lo, :, None]
+                + P[classes[lo - first : hi - first]], axis=1)
+        going_on = sizes[t + 1] if t + 1 < len(sizes) else 0
+        log_z[going_on : hi - lo] = _logsumexp(alpha[lo + going_on : hi], axis=1)
+    beta = np.zeros_like(U)
+    node = np.empty_like(U)
+    expected = np.zeros(P.shape)
+    for t in range(len(steps) - 1, -1, -1):
+        lo, hi = steps[t]
+        node[lo:hi] = np.exp(alpha[lo:hi] + beta[lo:hi] - log_z[: hi - lo, None])
+        if t:
+            before = steps[t - 1][0]
+            edge_classes = classes[lo - first : hi - first]
+            scores = P[edge_classes] + (U[lo:hi] + beta[lo:hi])[:, None, :]
+            np.add.at(expected, edge_classes, np.exp(
+                alpha[before : before + hi - lo, :, None] + scores
+                - log_z[: hi - lo, None, None]))
+            beta[before : before + hi - lo] = _logsumexp(scores, axis=2)
+    return log_z.sum(), node, expected
 
-    U is (B, T, L) and P is (B, T-1, L, L); returns log_z (B,), node
-    (B, T, L), and edge (B, T-1, L, L).  It stays finite at any finite
-    scores, at the cost of an exp over the whole edge tensor, so it runs
-    only on batches too spread for the scaled recursion.
-    """
-    B, T, L = U.shape
-    alpha = np.empty((B, T, L))
-    beta = np.empty((B, T, L))
-    alpha[:, 0] = U[:, 0]
-    for t in range(1, T):
-        scores = alpha[:, t - 1][:, :, None] + P[:, t - 1]
-        shift = scores.max(axis=1)
-        alpha[:, t] = U[:, t] + shift + np.log(
-            np.exp(scores - shift[:, None, :]).sum(axis=1)
-        )
-    beta[:, T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        scores = P[:, t] + (U[:, t + 1] + beta[:, t + 1])[:, None, :]
-        shift = scores.max(axis=2)
-        beta[:, t] = shift + np.log(
-            np.exp(scores - shift[:, :, None]).sum(axis=2)
-        )
-    last = alpha[:, T - 1]
-    shift = last.max(axis=1)
-    log_z = shift + np.log(np.exp(last - shift[:, None]).sum(axis=1))
-    node = np.exp(alpha + beta - log_z[:, None, None])
-    if T > 1:
-        edge = np.exp(
-            alpha[:, :-1, :, None]
-            + P
-            + (U[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-    else:
-        edge = np.zeros((B, 0, L, L))
-    return log_z, node, edge
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    shift = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - shift).sum(axis=axis)) + shift.squeeze(axis)
 
 
 def _scores(weights: np.ndarray, enc: _Encoded):
-    """Unary scores (tokens x L) and one transition matrix per class."""
+    """Unary scores (rows x L) and one transition matrix per class."""
     L = enc.n_labels
     n_uni = enc.activations.shape[1]
     w_uni = weights[: n_uni * L].reshape(n_uni, L)
@@ -416,68 +428,63 @@ def _scores(weights: np.ndarray, enc: _Encoded):
 
 
 def _expectations(weights: np.ndarray, enc: _Encoded):
-    """Summed log Z, node marginals (tokens x L) and expected label-pair
-    counts per bigram string (strings x L x L) at the given weights."""
-    L = enc.n_labels
+    """Summed log Z, node marginals (rows x L, in the packed layout) and
+    expected label-pair counts per bigram string (strings x L x L) at the
+    given weights."""
     unary, P = _scores(weights, enc)
-    node = np.empty_like(unary)
-    per_class = np.zeros_like(P)
-    log_z = 0.0
-    for batch in enc.batches:
-        z, batch_node, expected = _forward_backward(
-            unary[batch.token_index], P, batch.classes
-        )
-        log_z += float(z.sum())
-        node[batch.token_index] = batch_node
-        per_class += expected
-    expected_bi = enc.transitions.T @ per_class.reshape(-1, L * L)
-    return log_z, node, expected_bi
+    log_z, node, per_class = _forward_backward(unary, P, enc.classes, enc.sizes)
+    return log_z, node, enc.transitions_T @ per_class.reshape(len(P), enc.n_labels**2)
 
 
-def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Best label sequences (B, T) of a batch of same-length chains: U is
-    (B, T, L) unary scores, P is (K, L, L) transition scores per class and
-    classes is (B, T-1), the class of each edge.  Every argmax takes the
-    first maximal index, so ties go to the lowest label index."""
-    B, T, L = U.shape
-    into = np.ascontiguousarray(P.transpose(0, 2, 1))  # [k, cur, prev]
-    delta = U[:, 0]
-    back = np.empty((T - 1, B, L), dtype=np.intp)
-    for t in range(1, T):
-        scores = delta[:, None, :] + (into[0] if len(P) == 1 else into[classes[:, t - 1]])
-        back[t - 1] = scores.argmax(axis=2)
-        delta = U[:, t] + np.take_along_axis(scores, back[t - 1][:, :, None], axis=2)[:, :, 0]
-    path = np.empty((B, T), dtype=np.intp)
-    path[:, T - 1] = delta.argmax(axis=1)
-    for t in range(T - 2, -1, -1):
-        path[:, t] = back[t][np.arange(B), path[:, t + 1]]
-    return path
-
-
-# Cap on the cells of one Viterbi step's (B, L, L) score tensor.  Chunks
-# this small tag no slower, and leave less freed memory held by the
-# allocator than chunks of _BATCH_CELL_CAP cells (16 MB at L = 112).
+# Cap on the cells of one Viterbi step's (rows, L, L) score tensor: the
+# rows of a step are scored in chunks this small, which tag no slower and
+# leave less freed memory held by the allocator than larger ones.
 _VITERBI_CELL_CAP = 250_000
 
 
-def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
-    """The Viterbi label of every token, batch by batch, with at most
-    _VITERBI_CELL_CAP cells in one step's (B, L, L) score tensor."""
-    unary, P = _scores(weights, enc)
-    path = np.empty(len(unary), dtype=np.intp)
-    step = max(1, _VITERBI_CELL_CAP // enc.n_labels**2)
-    for batch in enc.batches:
-        for lo in range(0, len(batch.token_index), step):
-            rows = batch.token_index[lo : lo + step]
-            path[rows] = _viterbi(unary[rows], P, batch.classes[lo : lo + step])
+def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.ndarray:
+    """The best label of every row of chains in the packed layout, with
+    _forward_backward's arguments.  Every argmax takes the first maximal
+    index, so ties go to the lowest label index."""
+    n, L = U.shape
+    steps = _steps(sizes)
+    first = sizes[0] if sizes else 0
+    into = np.ascontiguousarray(P.transpose(0, 2, 1))  # [k, cur, prev]
+    chunk = max(1, _VITERBI_CELL_CAP // L**2)
+    delta = U.copy()
+    back = np.empty((n - first, L), dtype=np.intp)
+    for t in range(1, len(steps)):
+        (lo, hi), shift = steps[t], steps[t][0] - steps[t - 1][0]
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            edges = slice(a - first, b - first)
+            scores = delta[a - shift : b - shift, None, :] + (
+                into[0] if len(P) == 1 else into[classes[edges]])
+            back[edges] = best = scores.argmax(axis=2)
+            delta[a:b] += np.take_along_axis(scores, best[:, :, None], axis=2)[:, :, 0]
+    path = np.empty(n, dtype=np.intp)
+    for t in range(len(steps) - 1, -1, -1):
+        lo, hi = steps[t]
+        going_on = sizes[t + 1] if t + 1 < len(sizes) else 0
+        path[lo + going_on : hi] = delta[lo + going_on : hi].argmax(axis=1)
+        if going_on:
+            after = steps[t + 1][0]
+            path[lo : lo + going_on] = back[after - first : after - first + going_on][
+                np.arange(going_on), path[after : after + going_on]]
     return path
+
+
+def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
+    """The Viterbi label of every token, in corpus order."""
+    unary, P = _scores(weights, enc)
+    return enc.in_corpus_order(_viterbi(unary, P, enc.classes, enc.sizes))
 
 
 def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):
     """Regularized log-likelihood and its gradient over the whole corpus."""
     log_z, node, expected_bi = _expectations(weights, enc)
     expected = np.concatenate(
-        [(enc.activations.T @ node).ravel(), expected_bi.ravel()]
+        [(enc.activations_T @ node).ravel(), expected_bi.ravel()]
     )
     # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
     # several threads that then spin, slowing the optimizer's work between
@@ -701,13 +708,13 @@ def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
     enc = _encode_for(model, corpus)
-    _, node, _ = _expectations(model.weights, enc)
+    node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
     return [node[start:end] for start, end in enc.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
     enc = _encode_for(model, corpus)
-    _, node, _ = _expectations(model.weights, enc)
+    node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
     best = node[np.arange(len(node)), _best_paths(model.weights, enc)]
     return [best[start:end].tolist() for start, end in enc.bounds]

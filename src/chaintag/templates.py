@@ -9,9 +9,10 @@ Rows outside the sentence substitute boundary sentinels ("_B-1" before,
 values.
 
 index_features expands every template over a whole corpus in one pass
-and interns the strings; the dictionary counts its ids, the CRF encodes
-from it, and expand and active_features are its views for one sentence
-(a one-sentence corpus, such as select_sentences(corpus, [i])).
+over interned cell ids, building a string only for each distinct key;
+the dictionary counts its ids, the CRF encodes from it, and expand and
+active_features are its views for one sentence (a one-sentence corpus,
+such as select_sentences(corpus, [i])).
 
 The dictionary assigns dense weight indices in blocks: each unigram
 string owns one weight per label, each bigram string one weight per
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,9 +145,13 @@ def index_features(
 
     Each column a macro reads is laid out once with every sentence
     framed by pad sentinel cells on both sides, pad being the widest
-    macro offset.  A macro at offset r then reads, for every position at
-    once, the frame shifted by r; one str.format per template string
-    joins the macro values, and equal strings share one id.
+    macro offset, and every cell of that frame is interned to an id.  A
+    macro at offset r then reads, for every position at once, the frame
+    shifted by r.  The macro ids of each (position, template) cell make
+    one integer key; one np.unique numbers the keys of all templates by
+    first occurrence, and a string is built only for each distinct key.
+    Distinct keys can spell one string ("a/b" + "c" and "a" + "b/c" both
+    read "a/b/c"); those share the earliest key's id.
     """
     macros = [m for t in templates for m in t.macros]
     width = corpus.schema.width
@@ -156,53 +161,97 @@ def index_features(
                 "macro column %d out of range (width %d)" % (m.col, width)
             )
     pad = max((abs(m.row) for m in macros), default=0)
-    # Frame slots index into a column's cells followed by the sentinels
-    # _B-pad.._B-1 and _B+1.._B+pad; the masks mark the slots of tokens
-    # and of the tokens that end an edge.
-    n = corpus.n_tokens
-    sentinels = tuple("_B%d" % -k for k in range(pad, 0, -1))
-    sentinels += tuple("_B+%d" % k for k in range(1, pad + 1))
-    slots: list[int] = []
-    is_token: list[bool] = []
-    is_edge: list[bool] = []
-    for start, end in corpus.bounds:
-        slots += [*range(n, n + pad), *range(start, end), *range(n + pad, n + 2 * pad)]
-        is_token += [False] * pad + [True] * (end - start) + [False] * pad
-        is_edge += [False] * (pad + 1) + [True] * (end - start - 1) + [False] * pad
-    frames = {}
-    for col in {m.col for m in macros}:
-        cells = corpus.columns[col] + sentinels
-        frames[col] = list(map(cells.__getitem__, slots))
-
-    def intern(kind, mask, size):
-        streams = []
-        for t in templates:
-            if t.kind != kind:
-                continue
-            if not t.macros:
-                streams.append(repeat(t.id, size))
-                continue
-            form = t.id + ":" + "/".join(["{}"] * len(t.macros))
-            streams.append(map(form.format, *(
-                compress(islice(frames[m.col], pad + m.row, None), islice(mask, pad, None))
-                for m in t.macros
-            )))
-        # each string maps to the flat position of its first occurrence,
-        # and those positions, in dict order, are renumbered 0, 1, ...
-        first: dict[str, int] = {}
-        flat = np.fromiter(
-            map(first.setdefault, chain.from_iterable(zip(*streams)), count()),
-            dtype=np.intp, count=size * len(streams),
-        )
-        dense = np.empty(len(flat), dtype=np.intp)
-        dense[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = (
-            np.arange(len(first))
-        )
-        return tuple(first), dense[flat].reshape(size, len(streams))
-
-    uni_strings, uni_ids = intern("U", is_token, n)
-    bi_strings, bi_ids = intern("B", is_edge, n - corpus.n_sentences)
-    return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids)
+    n, n_sentences = corpus.n_tokens, corpus.n_sentences
+    left = tuple("_B%d" % -k for k in range(pad, 0, -1))
+    right = tuple("_B+%d" % k for k in range(1, pad + 1))
+    cols = sorted({m.col for m in macros})
+    framed = [
+        tuple(chain.from_iterable(
+            left + corpus.columns[c][start:end] + right for start, end in corpus.bounds
+        ))
+        for c in cols
+    ]
+    size = n + 2 * pad * n_sentences
+    # Ids count from 1.  Id 0 fills the macros a template lacks to reach
+    # the widest template's count; a row of 0s after the columns' rows
+    # stands for it in the frame, and it spells nothing.
+    words = dict.fromkeys(chain.from_iterable(framed))
+    frame = np.zeros((len(cols) + 1) * size, dtype=np.int64)
+    frame[: len(cols) * size] = np.fromiter(
+        map(dict(zip(words, count(1))).__getitem__, chain.from_iterable(framed)),
+        dtype=np.int64, count=len(cols) * size,
+    )
+    at = np.arange(n) + np.repeat(pad + 2 * pad * np.arange(n_sentences),
+                                  corpus.lengths)
+    # U templates first; cell[i, j, k] is the id that macro k of template
+    # j reads at token i
+    ordered = [t for t in templates if t.kind == "U"]
+    n_uni = len(ordered)
+    ordered += [t for t in templates if t.kind != "U"]
+    depth = max((len(t.macros) for t in ordered), default=0)
+    row_of = {c: i * size for i, c in enumerate(cols)}
+    reads = np.fromiter(chain.from_iterable(
+        [row_of[m.col] + m.row for m in t.macros]
+        + [len(cols) * size] * (depth - len(t.macros))
+        for t in ordered
+    ), dtype=np.intp, count=len(ordered) * depth)
+    cell = frame[at[:, None, None] + reads.reshape(len(ordered), depth)]
+    # key = the template's index, then its macro ids in radix 1 + len(words);
+    # keys are re-ranked densely whenever the next digit could pass 2**62
+    radix = 1 + len(words)
+    key = np.broadcast_to(np.arange(len(ordered)), (n, len(ordered)))
+    span = len(ordered)
+    for k in range(depth):
+        if span * radix > 2**62:
+            _, key = np.unique(key.ravel(), return_inverse=True)
+            key = key.reshape(n, len(ordered))
+            span = int(key.max()) + 1
+        key = key * radix + cell[:, :, k]
+        span *= radix
+    # U cells in (token, template) order, then B cells in (edge, template)
+    # order; an edge ends at every token that does not start a sentence
+    ends_edge = np.ones(n, dtype=bool)
+    ends_edge[[start for start, _ in corpus.bounds]] = False
+    edges = np.flatnonzero(ends_edge)
+    flat = np.concatenate([key[:, :n_uni].ravel(), key[edges, n_uni:].ravel()])
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rank = rank[inverse]
+    # each distinct key's string, spelled from the cell where it first occurs
+    first = first[order]
+    n_uni_cells = n * n_uni
+    n_uni_keys = int(np.searchsorted(first, n_uni_cells))
+    token, uni_template = np.divmod(first[:n_uni_keys], max(n_uni, 1))
+    edge, bi_template = np.divmod(first[n_uni_keys:] - n_uni_cells,
+                                  max(len(ordered) - n_uni, 1))
+    token = np.concatenate([token, edges[edge]])
+    template = np.concatenate([uni_template, bi_template + n_uni])
+    spelled = np.array(["", *words], dtype=object)
+    joined = np.array(["", *("/" + w for w in words)], dtype=object)
+    strings = np.array([t.id + ":" if t.macros else t.id for t in ordered],
+                       dtype=object)[template]
+    for k in range(depth):
+        strings += (joined if k else spelled)[cell[token, template, k]]
+    strings = strings.tolist()
+    if len(set(strings)) == len(strings):
+        rank[n_uni_cells:] -= n_uni_keys
+        uni_strings = tuple(strings[:n_uni_keys])
+        bi_strings = tuple(strings[n_uni_keys:])
+    else:
+        uni_strings = tuple(dict.fromkeys(strings[:n_uni_keys]))
+        bi_strings = tuple(dict.fromkeys(strings[n_uni_keys:]))
+        ids = dict(zip(uni_strings, count()))
+        ids.update(zip(bi_strings, count()))
+        rank = np.fromiter(map(ids.__getitem__, strings), dtype=np.intp,
+                           count=len(strings))[rank]
+    return FeatureIndex(
+        uni_strings,
+        bi_strings,
+        rank[:n_uni_cells].reshape(n, n_uni),
+        rank[n_uni_cells:].reshape(len(edges), len(ordered) - n_uni),
+    )
 
 
 def _lookup(strings: tuple[str, ...], ids: np.ndarray) -> list[list[str]]:

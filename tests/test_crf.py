@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from chaintag.crf import (
     UNCONVERGED,
     Lattice,
     TrainingConfig,
-    _batched_forward_backward,
     build_lattice,
     confidence,
     forward_backward,
@@ -120,6 +120,32 @@ def brute_viterbi(lattice):
         ):
             best_score, best_key, best_y = s, key, list(y)
     return best_y
+
+
+def log_domain(lattice):
+    """The log-domain recursion on one lattice, each edge its own class:
+    log Z, node marginals and edge marginals."""
+    T = lattice.n_positions
+    return crf._log_forward_backward(
+        lattice.unary, lattice.pairwise, np.arange(T - 1), [1] * T
+    )
+
+
+def loop_viterbi(lattice):
+    """Viterbi one label at a time; every argmax takes the first maximal
+    index, as brute_viterbi's tie rule requires."""
+    T, L = lattice.n_positions, lattice.n_labels
+    unary, pairwise = lattice.unary.tolist(), lattice.pairwise.tolist()
+    delta, back = unary[0], []
+    for t in range(1, T):
+        scores = [[delta[i] + pairwise[t - 1][i][j] for i in range(L)] for j in range(L)]
+        best = [max(range(L), key=lambda i: (s[i], -i)) for s in scores]
+        back.append(best)
+        delta = [unary[t][j] + scores[j][best[j]] for j in range(L)]
+    path = [max(range(L), key=lambda i: (delta[i], -i))]
+    for best in reversed(back):
+        path.append(best[path[-1]])
+    return path[::-1]
 
 
 def random_lattice(rng, T, L, integer=False):
@@ -310,12 +336,10 @@ class TestForwardBackward:
         rng = np.random.default_rng(seed + 40_000)
         lattice = random_lattice(rng, 20, 112)
         log_z, node, edge = forward_backward(lattice)
-        ref_z, ref_node, ref_edge = _batched_forward_backward(
-            lattice.unary[None], lattice.pairwise[None]
-        )
-        assert log_z == pytest.approx(ref_z[0], rel=1e-12)
-        assert np.abs(node - ref_node[0]).max() < 1e-11
-        assert np.abs(edge - ref_edge[0]).max() < 1e-11
+        ref_z, ref_node, ref_edge = log_domain(lattice)
+        assert log_z == pytest.approx(ref_z, rel=1e-12)
+        assert np.abs(node - ref_node).max() < 1e-11
+        assert np.abs(edge - ref_edge).max() < 1e-11
 
     def test_underflow_spread_over_positions_takes_the_log_domain(self):
         # Label 1 starts 800 nats behind and gains 23 per position, and a
@@ -327,13 +351,11 @@ class TestForwardBackward:
         unary[0] = [0.0, -800.0]
         pairwise = np.tile([[0.0, -1000.0], [-1000.0, 0.0]], (T - 1, 1, 1))
         log_z, node, edge = forward_backward(Lattice(unary, pairwise))
-        ref_z, ref_node, ref_edge = _batched_forward_backward(
-            unary[None], pairwise[None]
-        )
-        assert log_z == pytest.approx(ref_z[0], rel=1e-12)
+        ref_z, ref_node, ref_edge = log_domain(Lattice(unary, pairwise))
+        assert log_z == pytest.approx(ref_z, rel=1e-12)
         assert log_z == pytest.approx(-800.0, abs=1e-6)
-        assert node == pytest.approx(ref_node[0], abs=1e-12)
-        assert edge == pytest.approx(ref_edge[0], abs=1e-12)
+        assert node == pytest.approx(ref_node, abs=1e-12)
+        assert edge == pytest.approx(ref_edge, abs=1e-12)
 
 
 class TestViterbi:
@@ -373,8 +395,9 @@ class TestViterbi:
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=40, deadline=None)
     def test_batched_kernel_matches_each_lattice(self, seed):
-        """Each row of a batch, with edges drawn from several transition
-        classes, gets the path viterbi and brute force give its lattice."""
+        """Each of B same-length chains, packed step by step, with edges
+        drawn from several transition classes, gets the path viterbi and
+        brute force give its lattice."""
         rng = np.random.default_rng(seed + 50_000)
         B, T = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         L, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -382,10 +405,81 @@ class TestViterbi:
         U = random_lattice(rng, B * T, L, integer).unary.reshape(B, T, L)
         P = random_lattice(rng, K + 1, L, integer).pairwise
         classes = rng.integers(0, K, size=(B, T - 1))
-        paths = crf._viterbi(U, P, classes)
+        paths = crf._viterbi(
+            U.transpose(1, 0, 2).reshape(-1, L), P, classes.T.ravel(), [B] * T
+        ).reshape(T, B).T
         for b in range(B):
             lattice = Lattice(U[b], P[classes[b]])
             assert paths[b].tolist() == viterbi(lattice) == brute_viterbi(lattice)
+
+
+class TestPackedKernel:
+    """Forward-backward and Viterbi over a whole corpus in the packed
+    layout, against per-sentence references."""
+
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        n_bigram=st.integers(1, 3),
+        n_labels=st.integers(1, 5),
+        scale=st.sampled_from([0.0, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_sentence_references(self, lengths, n_bigram, n_labels, scale, seed):
+        """Sentences of any lengths in any order, several transition
+        classes (B1 and B2 read the words).  At scale 1e3 one unigram block
+        is pushed to +-5e3, so with two labels or more the scores spread
+        past 690 nats and the log-domain recursion runs."""
+        rng = np.random.default_rng(seed)
+        corpus = corpus_of([
+            [(str(rng.choice(["a", "b", "c"])), "T%d" % rng.integers(n_labels))
+             for _ in range(T)]
+            for T in lengths
+        ])
+        bigrams = ["B", "B1:%x[-1,0]", "B2:%x[0,0]"][:n_bigram]
+        model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\n" + "\n".join(bigrams))
+        d = model.dictionary
+        L = d.n_labels
+        weights = scale * rng.uniform(-1, 1, d.n_weights)
+        if scale == 1e3:
+            block = uni_base(d, d.uni_strings[0])
+            weights[block : block + L] = 5e3 * (-1.0) ** np.arange(L)
+        model = replace(model, weights=weights)
+        enc = crf._encode(corpus, model.templates, d, 1)
+        with patch.object(crf, "_log_forward_backward",
+                          wraps=crf._log_forward_backward) as log_path:
+            log_z, node, expected = crf._expectations(weights, enc)
+        assert log_path.called == (scale == 1e3 and L > 1)
+        assert np.isfinite(log_z) and np.isfinite(node).all()
+        assert np.isfinite(expected).all()
+
+        ref_z, ref_node = 0.0, []
+        ref_expected = np.zeros((len(d.bi_strings), L, L))
+        lattices = []
+        for sentence in sentences(corpus):
+            lattice = build_lattice(model, sentence)
+            z, sentence_node, edge = log_domain(lattice)
+            ref_z += z
+            ref_node.append(sentence_node)
+            for t, strings in enumerate(active_features(model.templates, sentence)[1]):
+                for row in d.bigram_rows(strings):
+                    if row >= 0:
+                        ref_expected[row] += edge[t]
+            lattices.append(lattice)
+        assert log_z == pytest.approx(ref_z, rel=1e-9, abs=1e-9)
+        assert np.abs(enc.in_corpus_order(node) - np.concatenate(ref_node)).max() <= 1e-9
+        assert np.abs(expected.reshape(ref_expected.shape) - ref_expected).max(initial=0.0) \
+            <= 1e-9 * np.abs(ref_expected).max(initial=1.0)
+
+        paths = [loop_viterbi(x) for x in lattices]
+        for x, path in zip(lattices, paths):
+            if L ** x.n_positions <= 1000:
+                assert path == brute_viterbi(x)
+        gold = [[model.labels[y] for y in path] for path in paths]
+        assert tag(model, corpus) == gold
+        # one row per chunk of a step's score tensor
+        with patch.object(crf, "_VITERBI_CELL_CAP", L * L):
+            assert tag(model, corpus) == gold
 
 
 # --- objective and training -------------------------------------------
@@ -470,23 +564,21 @@ class TestObjective:
         for sentence, labels in zip(sentences(corpus), corpus.sentence_column("tag")):
             y = [d.label_index(label) for label in labels]
             lattice = build_lattice(model, sentence)
-            log_z, node, edge = _batched_forward_backward(
-                lattice.unary[None], lattice.pairwise[None]
-            )
-            ref_value += sequence_score(lattice, y) - log_z[0]
+            log_z, node, edge = log_domain(lattice)
+            ref_value += sequence_score(lattice, y) - log_z
             uni, bi = active_features(model.templates, sentence)
             for t, strings in enumerate(uni):
                 for s in strings:
                     if uni_base(d, s) is not None:
                         block = uni_base(d, s)
                         ref_gradient[block + y[t]] += 1.0
-                        ref_gradient[block : block + d.n_labels] -= node[0, t]
+                        ref_gradient[block : block + d.n_labels] -= node[t]
             for t, strings in enumerate(bi):
                 for s in strings:
                     if bi_base(d, s) is not None:
                         block = bi_base(d, s)
                         ref_gradient[block + y[t] * d.n_labels + y[t + 1]] += 1.0
-                        ref_gradient[block : block + d.n_labels ** 2] -= edge[0, t].ravel()
+                        ref_gradient[block : block + d.n_labels ** 2] -= edge[t].ravel()
         assert np.isfinite(value) and np.isfinite(gradient).all()
         assert value == pytest.approx(ref_value, rel=1e-9)
         scale = np.abs(ref_gradient).max()

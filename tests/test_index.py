@@ -9,6 +9,7 @@ import itertools
 from itertools import islice
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -151,21 +152,25 @@ def brute_best_and_node(lattice):
 
 def edge_classes(enc):
     """The transition class of each edge, keyed by the token ending it."""
-    out = {}
-    for batch in enc.batches:
-        for tokens, classes in zip(batch.token_index, batch.classes):
-            out.update(zip(tokens[1:].tolist(), classes.tolist()))
+    ends = enc.packed[enc.sizes[0] if enc.sizes else 0 :]
+    out = dict(zip(ends.tolist(), enc.classes.tolist()))
     return [out[k] for k in sorted(out)]
 
 
-# --- the oracle ---------------------------------------------------------
+def packed_layout(corpus):
+    """The corpus position of each row, sentences sorted longest first
+    (ties in corpus order), step by step; and the rows of each step."""
+    starts = [sum(corpus.lengths[:i]) for i in range(corpus.n_sentences)]
+    by_length = sorted(range(corpus.n_sentences), key=lambda i: -corpus.lengths[i])
+    steps = [[starts[i] + t for i in by_length if corpus.lengths[i] > t]
+             for t in range(max(corpus.lengths, default=0))]
+    return [p for step in steps for p in step], [len(step) for step in steps]
 
 
-@given(corpora(), template_sets(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_index_matches_the_per_position_reference(corpus, templates, cutoff, seed):
+def assert_index_matches_reference(corpus, templates):
+    """The index's strings, in first-occurrence order, and each cell's
+    string equal the reference's; returns the unigram strings per token."""
     uni_counts, bi_counts = ref_scan(corpus, templates)
-
     index = index_features(corpus, templates)
     assert index.uni_strings == tuple(uni_counts)
     assert index.bi_strings == tuple(bi_counts)
@@ -178,6 +183,17 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
         == expected_uni
     assert [[index.bi_strings[i] for i in row] for row in index.bi_ids.tolist()] \
         == expected_bi
+    return expected_uni
+
+
+# --- the oracle ---------------------------------------------------------
+
+
+@given(corpora(), template_sets(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_index_matches_the_per_position_reference(corpus, templates, cutoff, seed):
+    uni_counts, bi_counts = ref_scan(corpus, templates)
+    expected_uni = assert_index_matches_reference(corpus, templates)
 
     d = build_dictionary(corpus, templates, 2, cutoff)
     assert d.labels == tuple(dict.fromkeys(corpus.column("tag")))
@@ -215,7 +231,9 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     transitions = np.zeros((len(classes), len(d.bi_strings)))
     for active, k in classes.items():
         transitions[k, list(active)] = 1
-    assert np.array_equal(enc.activations.toarray(), activations)
+    packed, sizes = packed_layout(corpus)
+    assert enc.packed.tolist() == packed and enc.sizes == sizes
+    assert np.array_equal(enc.activations.toarray(), activations[packed])
     assert np.array_equal(enc.empirical, empirical)
     assert np.array_equal(enc.transitions.toarray(), transitions)
     assert edge_classes(enc) == edges
@@ -261,8 +279,50 @@ def test_braces_and_percent_signs_in_cells_are_copied_verbatim():
     assert index.bi_strings == ("B1:%x[0,0]",)
 
 
+def table(words, extra, lengths):
+    return Corpus((tuple(words), tuple(extra), ("X",) * len(words)), tuple(lengths), SCHEMA)
+
+
+WIDE_TEMPLATES = parse_templates(
+    "U0:%x[0,0]\nU1:%x[-1,0]/%x[0,1]\nU2\nU3:%x[-2,1]/%x[0,0]/%x[2,0]\n"
+    "B\nB1:%x[-1,1]\nB2:%x[1,0]/%x[0,1]\n"
+)
+
+
+@pytest.mark.parametrize("cells", ["distinct", "repeated"])
+def test_corpora_whose_cells_all_differ_or_all_repeat(cells):
+    lengths = [1, 5, 2, 7, 3, 1, 4]
+    n = sum(lengths)
+    if cells == "distinct":
+        corpus = table(["w%d" % i for i in range(n)], ["x%d" % i for i in range(n)], lengths)
+    else:
+        corpus = table(["a"] * n, ["a"] * n, lengths)
+    assert_index_matches_reference(corpus, WIDE_TEMPLATES)
+    index = index_features(corpus, WIDE_TEMPLATES)
+    if cells == "distinct":  # only U2 and B repeat
+        assert len(index.uni_strings) == 3 * n + 1
+    else:  # the strings differ only by the sentinels they read
+        assert len(index.uni_strings) < 4 * 5 * 2
+
+
+def test_keys_that_could_pass_2_to_the_62_are_re_ranked():
+    """Four macros over a column of more than 2**16 distinct values: four
+    ids in that radix could pass 2**62, so the keys are re-ranked before
+    the last id joins them; the strings still match the reference."""
+    n = 2**16 + 100
+    words = ["w%d" % (i % (2**16 + 50)) for i in range(n)]
+    corpus = table(words, ["e"] * n, [7] * (n // 7) + [n % 7])
+    templates = parse_templates("U0:%x[-1,0]/%x[0,0]/%x[1,0]/%x[2,0]\nB\n")
+    with patch.object(np, "unique", wraps=np.unique) as unique:
+        assert_index_matches_reference(corpus, templates)
+    re_ranks = [c for c in unique.call_args_list if "return_index" not in c.kwargs]
+    assert re_ranks
+
+
 def test_an_empty_run_of_sentences_has_no_strings():
-    templates = parse_templates("U0:%x[-1,0]\nB\n")
-    index = index_features(Corpus(((), (), ()), (), SCHEMA), templates)
-    assert index.uni_strings == () and index.bi_strings == ()
-    assert index.uni_ids.shape == (0, 1) and index.bi_ids.shape == (0, 1)
+    for templates in (parse_templates("U0:%x[-1,0]\nB\n"), WIDE_TEMPLATES):
+        index = index_features(Corpus(((), (), ()), (), SCHEMA), templates)
+        uni = sum(t.kind == "U" for t in templates)
+        assert index.uni_strings == () and index.bi_strings == ()
+        assert index.uni_ids.shape == (0, uni)
+        assert index.bi_ids.shape == (0, len(templates) - uni)

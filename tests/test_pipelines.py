@@ -464,19 +464,19 @@ def test_every_spec_that_can_be_built_survives_its_file_format(build):
 # recombination and stage source.
 PINNED_RUNS = {
     "IVbis-jackknifed-L0":
-        "75966b7be78452c426e1c4c786cfdcef927d4e08c402ab76d3c9d477dfd9a90f",
+        "c7bd45025aca302851ac7f8c9445625f899aad5648881c7452f56a4ec8c29ecb",
     "V-gold-L2":
-        "fa624909a342d0ade753c53d1595817b93db5c4ffde42f6dee4b0261dba39618",
+        "03fe40d8e5dcf813733ae05bb52b965e5bccb2d86a1d152c778db8fdae9720cf",
     "V-jackknifed-L2":
-        "13f49a38720ebcf0f3244b27593ea247ccd5fa40e874f493df9227805d0e8ea1",
+        "1419c6358db285987dacc4e254595988ace608557a5775d932479b3ff97a932a",
     "V-predicted-L2":
-        "1a74bd694cfdcae03a4e1092dc240a2b389099247745dc8886cd167eebf0fe8d",
+        "73994c90b7028ced513d2314cc3b792377526fb67bb22a25591e5534f2a6479a",
     "VII-jackknifed-L2":
-        "98c3e20dd2400770e5f38ff9a629362c7a53a05bc5cfe5fa92bb2ce857915b05",
+        "cf0c859b986945dc8f6805d52379fc3e2c975bf2d229aa5555591c948279ce70",
     "VII-predicted-L2":
-        "f6f6833e087985affde79d1e0b4ab76672172cc112d1d29657c44b7d41aa9cc6",
+        "46b1ae032dc8103eaa99b2717f2dfaf15c10f0a1da4f49e15103a2e9f8e5bd7e",
     "VIII-jackknifed-L2":
-        "6c0556fa632d1d88cada1e244ac1ad4fdfb9008c309eefed68dc81755ca13da6",
+        "88fdf9965abaad4b51f1027a28fb1ab7017630ead76038644d8ba95c5e0d1bd9",
 }
 
 
