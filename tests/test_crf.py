@@ -820,7 +820,7 @@ class TestTagging:
         if scale == 0.0:
             assert {label for labels in expected for label in labels} == {model.labels[0]}
         assert tag(model, corpus) == expected
-        # a cap of two sentences per (B, L, L) step splits the batches
+        # a cap of two rows per step's (rows, L, L) score tensor splits the steps
         monkeypatch.setattr(crf, "_VITERBI_CELL_CAP", 2 * model.dictionary.n_labels ** 2)
         assert tag(model, corpus) == expected
 
