@@ -16,9 +16,9 @@ sequences the same way): sentences sorted by length, longest first, and
 their tokens time-major, so step t holds the sentences longer than t,
 a prefix of step t-1's.  Every step is a slice of the rows, nothing is
 padded or masked, and one Python loop over the steps serves the whole
-corpus.  Viterbi and forward-backward both run over this layout;
-viterbi(lattice) and forward_backward(lattice) are their one-sentence
-case.
+corpus (cut into groups past _GROUP_CELL_CAP cells, to bound memory).
+Viterbi and forward-backward both run over this layout; viterbi(lattice)
+and forward_backward(lattice) are their one-sentence case.
 
 Forward-backward uses the scaled probability-domain recursion (Sutton &
 McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
@@ -200,19 +200,20 @@ class _Encoded:
     """A corpus folded into index space against a fixed dictionary, in the
     packed layout.
 
-    Sentences are sorted by length, longest first (a stable sort), and
-    their tokens laid out time-major: step t holds position t of the
-    sizes[t] sentences longer than t, in sorted order, so they are a
-    prefix of step t-1's rows.  Row r of activations is the token at
-    corpus position packed[r].  Each row past step 0 ends an edge, and
-    classes[r - sizes[0]] is that edge's transition class: the tuple of
-    its active bigram rows, whose edges share one transition matrix.
+    Sentences are sorted by length, longest first (a stable sort), and cut
+    into groups of about _GROUP_CELL_CAP cells, each laid out time-major
+    after the last: step t of group g holds position t of its groups[g][t]
+    sentences longer than t, a prefix of step t-1's rows.  Row r is the
+    token at corpus position packed[r].  Each row past its group's step 0
+    ends an edge; classes holds the edges' transition classes (the tuple of
+    an edge's active bigram rows, whose edges share one transition
+    matrix) in row order.  spans holds each group's rows, edges and sizes.
     """
 
     bounds: list[tuple[int, int]]
     packed: np.ndarray  # the corpus position of each row
-    sizes: list[int]  # rows at each step
-    classes: np.ndarray  # transition class of the edge ending each row past step 0
+    groups: list[list[int]]  # rows at each step, per group
+    classes: np.ndarray  # transition class of each edge
     activations: sparse.csr_matrix  # rows x unigram strings
     transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
     empirical: np.ndarray | None  # gold feature counts, when labeled
@@ -222,6 +223,10 @@ class _Encoded:
         # scipy builds a new matrix object on every .T
         self.activations_T = self.activations.T
         self.transitions_T = self.transitions.T
+        rows = np.cumsum([0] + [sum(sizes) for sizes in self.groups])
+        edges = rows - np.cumsum([0] + [sum(sizes[:1]) for sizes in self.groups])
+        self.spans = [(slice(*rows[g : g + 2]), slice(*edges[g : g + 2]), sizes)
+                      for g, sizes in enumerate(self.groups)]
 
     def in_corpus_order(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty_like(rows)
@@ -257,8 +262,7 @@ def _encode(
         bi, axis=0, return_index=True, return_inverse=True
     )
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    rank = np.argsort(order)
     class_rows = unique[order]
     members, member_slots = np.nonzero(class_rows >= 0)
     transitions = sparse.csr_matrix(
@@ -286,23 +290,32 @@ def _encode(
         empirical = np.bincount(
             hits, weights=np.ones(len(hits)), minlength=dictionary.n_weights
         )
-    # the packed layout: row r is token step[r] of sentence by_length[row[r]]
+    # the packed layout, a group starting every _GROUP_CELL_CAP cells of
+    # sorted tokens: row r of a group is token step[r] of sentence group[row[r]]
     by_length = np.argsort(-lengths, kind="stable")
-    sizes = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
-    step = np.repeat(np.arange(len(sizes)), sizes)
-    row = np.arange(n_tokens) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    sentence = by_length[row]
-    packed = starts[sentence] + step
+    before = np.cumsum(lengths[by_length]) - lengths[by_length]
+    cuts = np.flatnonzero(np.diff(before // max(1, _GROUP_CELL_CAP // L))) + 1
+    packed, edge, groups = [], [], []
+    for group in np.split(by_length, cuts):
+        sizes = len(group) - np.cumsum(np.bincount(lengths[group]))[:-1]
+        step = np.repeat(np.arange(len(sizes)), sizes)
+        row = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # sentence i's edges start at corpus edge index start_i - i
+        packed.append(starts[group[row]] + step)
+        edge.append((packed[-1] - group[row] - 1)[len(group):])
+        groups.append(sizes.tolist())
+    packed = np.concatenate(packed)
     position = np.empty(n_tokens, dtype=np.intp)
     position[packed] = np.arange(n_tokens)
     activations = sparse.csr_matrix(
         (np.ones(len(tokens)), (position[tokens], uni_rows)), shape=(n_tokens, n_uni)
     )
-    # sentence i's edges start at corpus edge index start_i - i
-    edge = (packed - sentence - 1)[len(lengths):]
-    return _Encoded(list(corpus.bounds), packed, sizes.tolist(),
-                    rank[inverse.ravel()][edge], activations, transitions, empirical, L)
+    return _Encoded(list(corpus.bounds), packed, groups, rank[inverse.ravel()][
+        np.concatenate(edge)], activations, transitions, empirical, L)
 
+
+# Cap on the cells (tokens x labels) of one group of the packed layout
+_GROUP_CELL_CAP = 2_000_000
 
 # The scaled recursion runs when the largest unary-row range plus the
 # largest transition-matrix range plus log L stays below this many nats.
@@ -358,14 +371,13 @@ def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes):
         beta[before : before + hi - lo] = _times(
             right[edges], E.transpose(0, 2, 1), classes[edges])
     log_z = np.log(scale).sum() + u_max.sum() + p_max.ravel()[classes].sum()
-    if len(P) == 1:
-        expected = E * (left.T @ right)
-    else:
-        expected = np.zeros(P.shape)
-        for k in np.unique(classes):
-            edges = classes == k
-            expected[k] = E[k] * (left[edges].T @ right[edges])
-    return log_z, alpha * beta, expected
+    alpha *= beta  # the node marginals; left keeps the alphas the counts need
+    del psi, beta  # before the counts copy each class's edges
+    expected = np.zeros(P.shape)
+    for k in np.unique(classes):
+        edges = classes == k
+        expected[k] = E[k] * (left[edges].T @ right[edges])
+    return log_z, alpha, expected
 
 
 def _times(vectors: np.ndarray, matrices: np.ndarray, classes: np.ndarray):
@@ -432,7 +444,11 @@ def _expectations(weights: np.ndarray, enc: _Encoded):
     expected label-pair counts per bigram string (strings x L x L) at the
     given weights."""
     unary, P = _scores(weights, enc)
-    log_z, node, per_class = _forward_backward(unary, P, enc.classes, enc.sizes)
+    log_z, node, per_class = 0.0, np.empty_like(unary), np.zeros(P.shape)
+    for rows, edges, sizes in enc.spans:
+        z, node[rows], expected = _forward_backward(unary[rows], P, enc.classes[edges], sizes)
+        log_z += z
+        per_class += expected
     return log_z, node, enc.transitions_T @ per_class.reshape(len(P), enc.n_labels**2)
 
 
@@ -477,7 +493,10 @@ def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.nda
 def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
     """The Viterbi label of every token, in corpus order."""
     unary, P = _scores(weights, enc)
-    return enc.in_corpus_order(_viterbi(unary, P, enc.classes, enc.sizes))
+    path = np.empty(len(unary), dtype=np.intp)
+    for rows, edges, sizes in enc.spans:
+        path[rows] = _viterbi(unary[rows], P, enc.classes[edges], sizes)
+    return enc.in_corpus_order(path)
 
 
 def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):

@@ -143,15 +143,14 @@ def index_features(
 ) -> FeatureIndex:
     """Expand each template once over all the corpus's sentences.
 
-    Each column a macro reads is laid out once with every sentence
-    framed by pad sentinel cells on both sides, pad being the widest
-    macro offset, and every cell of that frame is interned to an id.  A
-    macro at offset r then reads, for every position at once, the frame
+    Each column a macro reads is laid out once, every sentence framed by
+    pad sentinel cells on both sides (pad being the widest macro offset),
+    and each cell interned to an id; a macro at offset r reads the frame
     shifted by r.  The macro ids of each (position, template) cell make
-    one integer key; one np.unique numbers the keys of all templates by
+    one integer key, one np.unique numbers the keys of all templates by
     first occurrence, and a string is built only for each distinct key.
-    Distinct keys can spell one string ("a/b" + "c" and "a" + "b/c" both
-    read "a/b/c"); those share the earliest key's id.
+    Distinct keys that spell one string ("a/b" + "c", "a" + "b/c") share
+    the earliest key's id.
     """
     macros = [m for t in templates for m in t.macros]
     width = corpus.schema.width
@@ -165,12 +164,8 @@ def index_features(
     left = tuple("_B%d" % -k for k in range(pad, 0, -1))
     right = tuple("_B+%d" % k for k in range(1, pad + 1))
     cols = sorted({m.col for m in macros})
-    framed = [
-        tuple(chain.from_iterable(
-            left + corpus.columns[c][start:end] + right for start, end in corpus.bounds
-        ))
-        for c in cols
-    ]
+    framed = [tuple(chain.from_iterable(left + corpus.columns[c][start:end] + right
+                                        for start, end in corpus.bounds)) for c in cols]
     size = n + 2 * pad * n_sentences
     # Ids count from 1.  Id 0 fills the macros a template lacks to reach
     # the widest template's count; a row of 0s after the columns' rows
@@ -183,8 +178,8 @@ def index_features(
     )
     at = np.arange(n) + np.repeat(pad + 2 * pad * np.arange(n_sentences),
                                   corpus.lengths)
-    # U templates first; cell[i, j, k] is the id that macro k of template
-    # j reads at token i
+    # U templates first; macro k of template j reads the id at frame slot
+    # at[i] + reads[j, k] for token i
     ordered = [t for t in templates if t.kind == "U"]
     n_uni = len(ordered)
     ordered += [t for t in templates if t.kind != "U"]
@@ -194,8 +189,7 @@ def index_features(
         [row_of[m.col] + m.row for m in t.macros]
         + [len(cols) * size] * (depth - len(t.macros))
         for t in ordered
-    ), dtype=np.intp, count=len(ordered) * depth)
-    cell = frame[at[:, None, None] + reads.reshape(len(ordered), depth)]
+    ), dtype=np.intp, count=len(ordered) * depth).reshape(len(ordered), depth)
     # key = the template's index, then its macro ids in radix 1 + len(words);
     # keys are re-ranked densely whenever the next digit could pass 2**62
     radix = 1 + len(words)
@@ -203,22 +197,17 @@ def index_features(
     span = len(ordered)
     for k in range(depth):
         if span * radix > 2**62:
-            _, key = np.unique(key.ravel(), return_inverse=True)
-            key = key.reshape(n, len(ordered))
+            key = np.unique(key, return_inverse=True)[1].reshape(n, len(ordered))
             span = int(key.max()) + 1
-        key = key * radix + cell[:, :, k]
+        key = key * radix + frame[at[:, None] + reads[:, k]]
         span *= radix
     # U cells in (token, template) order, then B cells in (edge, template)
     # order; an edge ends at every token that does not start a sentence
-    ends_edge = np.ones(n, dtype=bool)
-    ends_edge[[start for start, _ in corpus.bounds]] = False
-    edges = np.flatnonzero(ends_edge)
+    edges = np.delete(np.arange(n), [start for start, _ in corpus.bounds])
     flat = np.concatenate([key[:, :n_uni].ravel(), key[edges, n_uni:].ravel()])
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rank = rank[inverse]
+    rank = np.argsort(order)[inverse]
     # each distinct key's string, spelled from the cell where it first occurs
     first = first[order]
     n_uni_cells = n * n_uni
@@ -233,19 +222,14 @@ def index_features(
     strings = np.array([t.id + ":" if t.macros else t.id for t in ordered],
                        dtype=object)[template]
     for k in range(depth):
-        strings += (joined if k else spelled)[cell[token, template, k]]
+        strings += (joined if k else spelled)[frame[at[token] + reads[template, k]]]
     strings = strings.tolist()
-    if len(set(strings)) == len(strings):
-        rank[n_uni_cells:] -= n_uni_keys
-        uni_strings = tuple(strings[:n_uni_keys])
-        bi_strings = tuple(strings[n_uni_keys:])
-    else:
-        uni_strings = tuple(dict.fromkeys(strings[:n_uni_keys]))
-        bi_strings = tuple(dict.fromkeys(strings[n_uni_keys:]))
-        ids = dict(zip(uni_strings, count()))
-        ids.update(zip(bi_strings, count()))
-        rank = np.fromiter(map(ids.__getitem__, strings), dtype=np.intp,
-                           count=len(strings))[rank]
+    uni_strings = tuple(dict.fromkeys(strings[:n_uni_keys]))
+    bi_strings = tuple(dict.fromkeys(strings[n_uni_keys:]))
+    ids = dict(zip(uni_strings, count()))
+    ids.update(zip(bi_strings, count()))
+    rank = np.fromiter(map(ids.__getitem__, strings), dtype=np.intp,
+                       count=len(strings))[rank]
     return FeatureIndex(
         uni_strings,
         bi_strings,

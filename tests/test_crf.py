@@ -422,12 +422,16 @@ class TestPackedKernel:
         n_bigram=st.integers(1, 3),
         n_labels=st.integers(1, 5),
         scale=st.sampled_from([0.0, 1.0, 1e3]),
+        group_tokens=st.sampled_from([None, 1, 3, 10]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_per_sentence_references(self, lengths, n_bigram, n_labels, scale, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sentence_references(
+        self, lengths, n_bigram, n_labels, scale, group_tokens, seed
+    ):
         """Sentences of any lengths in any order, several transition
-        classes (B1 and B2 read the words).  At scale 1e3 one unigram block
+        classes (B1 and B2 read the words), in one group or cut into
+        groups every group_tokens tokens.  At scale 1e3 one unigram block
         is pushed to +-5e3, so with two labels or more the scores spread
         past 690 nats and the log-domain recursion runs."""
         rng = np.random.default_rng(seed)
@@ -445,11 +449,17 @@ class TestPackedKernel:
             block = uni_base(d, d.uni_strings[0])
             weights[block : block + L] = 5e3 * (-1.0) ** np.arange(L)
         model = replace(model, weights=weights)
-        enc = crf._encode(corpus, model.templates, d, 1)
-        with patch.object(crf, "_log_forward_backward",
-                          wraps=crf._log_forward_backward) as log_path:
-            log_z, node, expected = crf._expectations(weights, enc)
-        assert log_path.called == (scale == 1e3 and L > 1)
+        cap = crf._GROUP_CELL_CAP if group_tokens is None else group_tokens * L
+        with patch.object(crf, "_GROUP_CELL_CAP", cap):
+            enc = crf._encode(corpus, model.templates, d, 1)
+            with patch.object(crf, "_log_forward_backward",
+                              wraps=crf._log_forward_backward) as log_path:
+                log_z, node, expected = crf._expectations(weights, enc)
+            assert log_path.called == (scale == 1e3 and L > 1)
+            # a group starts at each sorted sentence that starts past a
+            # multiple of cap // L tokens
+            before = itertools.accumulate(sorted(lengths, reverse=True)[:-1], initial=0)
+            assert len(enc.groups) == len({b // (cap // L) for b in before})
         assert np.isfinite(log_z) and np.isfinite(node).all()
         assert np.isfinite(expected).all()
 
@@ -476,10 +486,11 @@ class TestPackedKernel:
             if L ** x.n_positions <= 1000:
                 assert path == brute_viterbi(x)
         gold = [[model.labels[y] for y in path] for path in paths]
-        assert tag(model, corpus) == gold
-        # one row per chunk of a step's score tensor
-        with patch.object(crf, "_VITERBI_CELL_CAP", L * L):
+        with patch.object(crf, "_GROUP_CELL_CAP", cap):
             assert tag(model, corpus) == gold
+            # one row per chunk of a step's score tensor
+            with patch.object(crf, "_VITERBI_CELL_CAP", L * L):
+                assert tag(model, corpus) == gold
 
 
 # --- objective and training -------------------------------------------

@@ -152,7 +152,8 @@ def brute_best_and_node(lattice):
 
 def edge_classes(enc):
     """The transition class of each edge, keyed by the token ending it."""
-    ends = enc.packed[enc.sizes[0] if enc.sizes else 0 :]
+    ends = np.concatenate([enc.packed[rows][sizes[0] if sizes else 0 :]
+                           for rows, _, sizes in enc.spans])
     out = dict(zip(ends.tolist(), enc.classes.tolist()))
     return [out[k] for k in sorted(out)]
 
@@ -232,7 +233,7 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     for active, k in classes.items():
         transitions[k, list(active)] = 1
     packed, sizes = packed_layout(corpus)
-    assert enc.packed.tolist() == packed and enc.sizes == sizes
+    assert enc.packed.tolist() == packed and enc.groups == [sizes]
     assert np.array_equal(enc.activations.toarray(), activations[packed])
     assert np.array_equal(enc.empirical, empirical)
     assert np.array_equal(enc.transitions.toarray(), transitions)
