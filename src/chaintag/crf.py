@@ -42,6 +42,16 @@ a step meeting the strong Wolfe conditions.  Its constants and stopping
 tests are L-BFGS-B's.  Training is deterministic for fixed inputs, and
 the model keeps the objective trace, the number of objective calls and
 the optimizer's stop reason.
+
+Training starts at zero weights, and the unigram block of the gradient
+is A'(gold - node marginals - Z / sigma^2) when the unigram weights are
+A'Z, A being the activations (tokens x unigram strings).  So every
+iterate's unigram block is A'Z for some Z (tokens x labels), the
+representer theorem's form.  When a corpus has fewer tokens than
+unigram strings, L-BFGS runs on Z and the bigram weights, under the
+inner product of the weights they stand for (``minimize``'s basis): the
+same iterates, with a history of tokens x labels numbers per step
+instead of strings x labels.
 """
 
 from __future__ import annotations
@@ -217,6 +227,7 @@ class _Encoded:
     activations: sparse.csr_matrix  # rows x unigram strings
     transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
     empirical: np.ndarray | None  # gold feature counts, when labeled
+    gold: np.ndarray | None  # the gold label of each row, when labeled
     n_labels: int
 
     def __post_init__(self):
@@ -269,7 +280,7 @@ def _encode(
         (np.ones(len(members)), (members, class_rows[members, member_slots])),
         shape=(len(class_rows), len(dictionary.bi_strings)),
     )
-    empirical = None
+    y = empirical = None
     if label_column is not None:
         labels = corpus.columns[label_column]
         y = list(map(dictionary.label_index, labels))
@@ -311,7 +322,8 @@ def _encode(
         (np.ones(len(tokens)), (position[tokens], uni_rows)), shape=(n_tokens, n_uni)
     )
     return _Encoded(list(corpus.bounds), packed, groups, rank[inverse.ravel()][
-        np.concatenate(edge)], activations, transitions, empirical, L)
+        np.concatenate(edge)], activations, transitions, empirical,
+        None if y is None else y[packed], L)
 
 
 # Cap on the cells (tokens x labels) of one group of the packed layout
@@ -499,21 +511,60 @@ def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
     return enc.in_corpus_order(path)
 
 
-def _objective(weights: np.ndarray, enc: _Encoded, sigma: float):
-    """Regularized log-likelihood and its gradient over the whole corpus."""
+def _objective(x: np.ndarray, enc: _Encoded, sigma: float, basis=None):
+    """Regularized log-likelihood and its gradient over the whole corpus,
+    at weights x, or at weights basis.matvec(x) with the gradient in token
+    coordinates when basis is _TokenBasis(enc)."""
+    weights = x if basis is None else basis.matvec(x)
     log_z, node, expected_bi = _expectations(weights, enc)
-    expected = np.concatenate(
-        [(enc.activations_T @ node).ravel(), expected_bi.ravel()]
-    )
     # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
     # several threads that then spin, slowing the optimizer's work between
     # calls (on two cores, pipeline VIII's training took ~1.8x as long).
     value = float(np.einsum("i,i->", enc.empirical, weights)) - log_z
     value -= float(np.einsum("i,i->", weights, weights)) / (2.0 * sigma * sigma)
-    gradient = enc.empirical - expected - weights / (sigma * sigma)
+    if basis is None:
+        expected = np.concatenate(
+            [(enc.activations_T @ node).ravel(), expected_bi.ravel()]
+        )
+        gradient = enc.empirical - expected - weights / (sigma * sigma)
+    else:
+        # the unigram gradient is A'(gold - node - Z / sigma^2), A the
+        # activations: its coordinates are the rows in parentheses
+        node *= -1.0
+        node[np.arange(len(node)), enc.gold] += 1.0
+        bigram = enc.empirical[enc.activations.shape[1] * enc.n_labels :]
+        gradient = np.concatenate([node.ravel(), bigram - expected_bi.ravel()])
+        gradient -= x / (sigma * sigma)
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
         raise NonFiniteObjectiveError("objective or gradient not finite")
     return value, gradient
+
+
+@dataclass(frozen=True, eq=False)
+class _TokenBasis:
+    """The map B from token coordinates (Z, b) to weights (A'Z, b): Z holds
+    one row of L numbers per row of the packed layout, A is the activations
+    (rows x unigram strings) and b the bigram weights."""
+
+    enc: _Encoded
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows, n_uni = self.enc.activations.shape
+        n_bi = self.enc.empirical.size - n_uni * self.enc.n_labels
+        return n_uni * self.enc.n_labels + n_bi, rows * self.enc.n_labels + n_bi
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """B x."""
+        z = x[: self.enc.activations.shape[0] * self.enc.n_labels]
+        unigram = self.enc.activations_T @ z.reshape(-1, self.enc.n_labels)
+        return np.concatenate([unigram.ravel(), x[z.size :]])
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """B'w."""
+        u = w[: self.enc.activations.shape[1] * self.enc.n_labels]
+        rows = self.enc.activations @ u.reshape(-1, self.enc.n_labels)
+        return np.concatenate([rows.ravel(), w[u.size :]])
 
 
 def objective_and_gradient(
@@ -548,7 +599,7 @@ _MAX_TRIALS = 20
 UNCONVERGED = ("max_iterations", "line search")
 
 
-def minimize(fun, x0, max_iterations, tolerance, callback=None):
+def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
     """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
     directions from the last 10 steps by the two-loop recursion (Liu &
     Nocedal 1989).  Stops as L-BFGS-B does: "converged" once a step lowers
@@ -557,63 +608,89 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None):
     gradient entry exceeds 1e-9; "max_iterations"; or "line search" when no
     step is found for any other reason.
     callback(x, value) sees x0 and each accepted point.  Returns the point,
-    the number of steps, the number of calls of fun and the stop reason."""
+    the number of steps, the number of calls of fun and the stop reason.
+
+    A basis B (with B.matvec(x) = B x and B.rmatvec(w) = B'w, as a scipy
+    LinearOperator has) makes x the coordinates of the point B x, and fun
+    must then return coordinates g of the gradient B g.  Every dot product is the images' one, <B a, B b> = <a, G b>
+    with G = B'B, so the steps are those taken on the images.  Each step
+    and gradient change is kept beside its Gram image (G s is the step
+    times G d, and G d follows d through the recursion), and the
+    "gradient" stop tests the entries of B g.  Without a basis, G is the
+    identity and each vector is its own Gram image."""
+
+    def images(v):
+        """B v and G v."""
+        if basis is None:
+            return v, v
+        w = basis.matvec(v)
+        return w, basis.rmatvec(w)
+
     x, (f, g), calls = x0, fun(x0), 1
+    g_image, g_gram = images(g)
     if callback is not None:
         callback(x, f)
-    S, Y = np.empty((_MEMORY, x.size)), np.empty((_MEMORY, x.size))
+    # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images
+    rows = 1 if basis is None else 2
+    S, Y = np.empty((_MEMORY, rows, x.size)), np.empty((_MEMORY, rows, x.size))
     rho, alpha = np.empty(_MEMORY), np.empty(_MEMORY)
     for iteration in itertools.count():
-        if np.abs(g).max(initial=0.0) <= _GRADIENT_TOLERANCE:
+        if np.abs(g_image).max(initial=0.0) <= _GRADIENT_TOLERANCE:
             return x, iteration, calls, "gradient"
         if iteration and f_old - f <= tolerance * max(abs(f_old), abs(f), 1.0):
             return x, iteration, calls, "converged"
         if iteration == max_iterations:
             return x, iteration, calls, "max_iterations"
-        d = -g
+        D = -np.array([g, g_gram][:rows])  # the direction and its Gram image
         newest = range(iteration - 1, max(iteration - _MEMORY, 0) - 1, -1)
         slots = [i % _MEMORY for i in newest]
         for k in slots:
-            alpha[k] = rho[k] * ddot(S[k], d)
-            daxpy(Y[k], d, a=-alpha[k])
+            alpha[k] = rho[k] * ddot(S[k, -1], D[0])
+            daxpy(Y[k].ravel(), D.ravel(), a=-alpha[k])
         if slots:  # scale by s'y / y'y of the newest pair
-            d *= 1.0 / (rho[slots[0]] * ddot(Y[slots[0]], Y[slots[0]]))
+            D *= 1.0 / (rho[slots[0]] * ddot(Y[slots[0], -1], Y[slots[0], 0]))
         for k in reversed(slots):
-            daxpy(S[k], d, a=alpha[k] - rho[k] * ddot(Y[k], d))
-        step = 1.0 if iteration else 1.0 / np.sqrt(ddot(g, g))
-        point, f_new, g_new, trials = _line_search(fun, x, f, g, d, step)
+            daxpy(S[k].ravel(), D.ravel(), a=alpha[k] - rho[k] * ddot(Y[k, -1], D[0]))
+        step = 1.0 if iteration else 1.0 / np.sqrt(ddot(g, g_gram))
+        step, point, f_new, g_new, trials = _line_search(fun, x, f, g, D[0], D[-1], step)
         calls += trials
         if point is None:
             return x, iteration, calls, "line search"
         if point is x:
             return x, iteration, calls, "converged"
         k = iteration % _MEMORY
-        np.subtract(point, x, out=S[k])
-        np.subtract(g_new, g, out=Y[k])
-        rho[k] = 1.0 / ddot(Y[k], S[k])  # s'y > 0 on a strictly convex fun
-        x, f_old, f, g = point, f, f_new, g_new
+        g_image, gram_new = images(g_new)
+        np.subtract(point, x, out=S[k, 0])
+        np.subtract(g_new, g, out=Y[k, 0])
+        if basis is not None:
+            np.multiply(D[-1], step, out=S[k, -1])
+            np.subtract(gram_new, g_gram, out=Y[k, -1])
+        rho[k] = 1.0 / ddot(Y[k, -1], S[k, 0])  # s'y > 0 on a strictly convex fun
+        x, f_old, f, g, g_gram = point, f, f_new, g_new, gram_new
         if callback is not None:
             callback(x, f)
 
 
-def _line_search(fun, x, f0, g0, d, step):
+def _line_search(fun, x, f0, g0, d, d_gram, step):
     """A step along d meeting the strong Wolfe conditions, searched in the
     manner of Moré & Thuente: extrapolate by cubic steps until a minimizer
-    is bracketed, then zoom by safeguarded cubic steps or bisection.
-    Returns the point, its value, its gradient and the number of calls.
+    is bracketed, then zoom by safeguarded cubic steps or bisection.  A
+    slope is a gradient's dot product with d_gram, the Gram image of d.
+    Returns the step, the point, its value, its gradient and the number
+    of calls.
     When 20 trials find no such step, or rounding leaves none to try, the
     point is x if rounding hides any decrease left in the bracket, and
     None otherwise."""
-    slope0 = ddot(g0, d)
+    slope0 = ddot(g0, d_gram)
     lo, hi = (0.0, f0, slope0), None  # (step, value, slope); lo is lowest
     step = np.float64(step)
     for trial in range(1, _MAX_TRIALS + 1):
         point = daxpy(d, x.copy(), a=step)
         f, g = fun(point)
-        now = (step, f, ddot(g, d))
+        now = (step, f, ddot(g, d_gram))
         decreased = f <= f0 + _C1 * step * slope0
         if decreased and abs(now[2]) <= -_C2 * slope0:
-            return point, f, g, trial
+            return step, point, f, g, trial
         if not decreased or f >= lo[1]:
             hi = now
         elif now[2] * (hi[0] - lo[0] if hi else 1.0) >= 0:
@@ -642,8 +719,8 @@ def _line_search(fun, x, f0, g0, d, step):
     # decrease, are within the rounding of f0, no decrease is left to find.
     rounding = abs(np.spacing(f0))
     if hi is not None and max(f0 - lo[1], -slope0 * max(lo[0], hi[0])) <= rounding:
-        return x, f0, g0, trial
-    return None, None, None, trial
+        return 0.0, x, f0, g0, trial
+    return None, None, None, None, trial
 
 
 @np.errstate(all="ignore")
@@ -686,23 +763,27 @@ def train(
     index = index_features(corpus, templates)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
     enc = _encode(corpus, templates, dictionary, column, index)
+    # Fewer tokens than unigram strings: L-BFGS runs on token coordinates
+    # (see _TokenBasis), whose iterates map to those on the weights
+    basis = _TokenBasis(enc) if corpus.n_tokens < len(dictionary.uni_strings) else None
     trace: list[float] = []
 
     def fun(x):
-        value, gradient = _objective(x, enc, config.sigma)
+        value, gradient = _objective(x, enc, config.sigma, basis)
         return -value, -gradient
 
-    weights, iterations, evaluations, stop = minimize(
+    x, iterations, evaluations, stop = minimize(
         fun,
-        np.zeros(dictionary.n_weights),
+        np.zeros(dictionary.n_weights if basis is None else basis.shape[1]),
         config.max_iterations,
         config.tolerance,
         callback=lambda x, f: trace.append(-f),
+        basis=basis,
     )
     return LinearChainModel(
         dictionary=dictionary,
         templates=tuple(templates),
-        weights=weights,
+        weights=x if basis is None else basis.matvec(x),
         sigma=config.sigma,
         iterations=iterations,
         trace=tuple(trace),

@@ -26,6 +26,7 @@ import configparser
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .crf import (
     train,
 )
 from .errors import (
+    NoValidTupleError,
     PipelineConfigError,
     UndecomposableTagError,
     UnknownTagError,
@@ -49,8 +51,9 @@ from .tagschema import (
     TagSchema,
     decompose,
     project_tag,
-    repair,
+    repair,  # noqa: F401 (bench/run.py traces pipelines.repair)
     symbol_to_text,
+    text_to_symbol,
 )
 from .templates import default_templates, parse_templates, template_hash
 
@@ -292,16 +295,29 @@ def _repair_tags(
     models: Mapping[str, LinearChainModel],
     test_view: Corpus,
 ) -> list[str]:
-    """Combine per-component node marginals into valid tags."""
+    """Combine per-component node marginals into valid tags: each token
+    takes the valid tag whose components' log-marginals sum highest, the
+    first in tag order on a tie, as tagschema.repair picks for one token.
+    Tags with a component no model knows are never picked."""
     components = [models["G%d" % k] for k in range(4)]
-    out: list[str] = []
-    for sentence in zip(*(marginals(m, test_view) for m in components)):
-        for rows in zip(*sentence):
-            scores = [np.log(np.maximum(row, 1e-300)).tolist() for row in rows]
-            out.append(repair(schema, [
-                list(zip(m.labels, row)) for m, row in zip(components, scores)
-            ]))
-    return out
+    scores = [np.log(np.maximum(np.concatenate(
+        [np.empty((0, len(m.labels)))] + marginals(m, test_view)), 1e-300))
+        for m in components]
+    if not all(np.isfinite(s).all() for s in scores):
+        raise NoValidTupleError("non-finite component score")
+    index = [{text_to_symbol(label): i for i, label in enumerate(m.labels)}
+             for m in components]
+    tags, columns = [], []  # the formable valid tags and their label columns
+    for tag, symbols in schema._valid_inventory:
+        column = [ix.get(symbol) for ix, symbol in zip(index, symbols)]
+        if None not in column:
+            tags.append(tag)
+            columns.append(column)
+    if not tags:
+        raise NoValidTupleError("no valid tuple from the component labels")
+    # summed left to right, as repair does, so ties break the same way
+    total = reduce(np.add, (s[:, c] for s, c in zip(scores, np.transpose(columns))))
+    return np.array(tags, dtype=object)[total.argmax(axis=1)].tolist()
 
 
 def run_pipeline(

@@ -205,6 +205,7 @@ def index_features(
     # order; an edge ends at every token that does not start a sentence
     edges = np.delete(np.arange(n), [start for start, _ in corpus.bounds])
     flat = np.concatenate([key[:, :n_uni].ravel(), key[edges, n_uni:].ravel()])
+    del key  # before np.unique's sorted copy, permutation and inverse
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.argsort(order)[inverse]

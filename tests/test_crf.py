@@ -9,6 +9,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.sparse.linalg import aslinearoperator
 from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
@@ -713,6 +714,47 @@ class TestMinimize:
         result = minimize(quadratic(np.eye(3), np.ones(3)), np.ones(3), 10, 1e-5)
         assert result[1:] == (0, 1, "gradient")
 
+    def test_the_gradient_stop_reads_the_image_under_the_basis(self):
+        """f(B z) = (z0 + z1 - 1)^2 / 2 with B = [1 1]; the coordinates
+        (z0 + z1, -1) stand for its gradient, and are not 0 where it is."""
+        fun = lambda z: (float((z.sum() - 1) ** 2 / 2), np.array([z.sum(), -1.0]))
+        result = minimize(fun, np.array([2.0, -1.0]), 10, 1e-5,
+                          basis=aslinearoperator(np.ones((1, 2))))
+        assert result[1:] == (0, 1, "gradient")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, k", [(12, 4), (30, 9), (5, 5)])
+    def test_a_basis_takes_the_euclidean_steps(self, seed, n, k):
+        """f(x) = lam |x|^2 / 2 + (B'x)'H(B'x) / 2 - c'B'x has its minimizer
+        in the span of B, and its gradient at B z is B (lam z + H B'B z - c).
+        From 0, L-BFGS on the coordinates z under B's inner product takes
+        the steps L-BFGS takes on x."""
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, k))
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        H = Q @ np.diag(np.logspace(0, 2, k)) @ Q.T
+        c = rng.normal(size=k) * 10
+        lam = 0.1
+
+        def fun(x):
+            v = B.T @ x
+            return float(lam * x @ x / 2 + v @ H @ v / 2 - c @ v), lam * x + B @ (H @ v - c)
+
+        def coordinates(z):
+            return fun(B @ z)[0], lam * z + H @ (B.T @ (B @ z)) - c
+
+        on_x, on_z = [], []
+        _, *outcome = minimize(fun, np.zeros(n), 200, 1e-9,
+                               callback=lambda x, f: on_x.append(x))
+        _, *outcome_z = minimize(coordinates, np.zeros(k), 200, 1e-9,
+                                 callback=lambda z, f: on_z.append(z),
+                                 basis=aslinearoperator(B))
+        assert outcome_z == outcome
+        assert outcome[-1] not in UNCONVERGED
+        assert len(on_x) == len(on_z)
+        for x, z in zip(on_x, on_z):
+            assert np.abs(B @ z - x).max() <= 1e-6 * (1 + np.abs(x).max())
+
     @pytest.mark.parametrize("seed", [978, 1568, 2800])
     def test_a_search_that_rounding_stops_at_the_minimum_is_converged(self, seed):
         """Near the minimum of these quadratics no trial step lowers the
@@ -762,8 +804,10 @@ class TestMinimize:
             assert abs(g1 @ s) <= 0.9 * abs(g0 @ s) + slack
 
 
-def scipy_lbfgsb(fun, x0, max_iterations, tolerance, callback=None):
-    """The reference optimizer: scipy's L-BFGS-B with the same settings."""
+def scipy_lbfgsb(fun, x0, max_iterations, tolerance, callback=None, basis=None):
+    """The reference optimizer: scipy's L-BFGS-B with the same settings,
+    on the weights themselves."""
+    assert basis is None
     result = scipy.optimize.minimize(
         fun, x0, jac=True, method="L-BFGS-B",
         options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-9,
@@ -791,12 +835,70 @@ def test_training_agrees_with_scipy_lbfgsb(corpus, config, monkeypatch):
     templates = parse_templates(default_templates([0]))
     model = train(corpus, templates, config)
     monkeypatch.setattr(crf, "minimize", scipy_lbfgsb)
+    monkeypatch.setattr(crf, "_TokenBasis", lambda enc: None)
     reference = train(corpus, templates, config)
     assert abs(model.iterations - reference.iterations) <= 2
     value = objective_and_gradient(model, corpus, config.sigma)[0]
     expected = objective_and_gradient(reference, corpus, config.sigma)[0]
     assert value == model.trace[-1]
     assert abs(value - expected) <= 1e-6 * abs(expected)
+
+
+ONE_SIDED = parse_templates("U00:%x[0,0]\nU01:%x[0,0]/%x[0,0]\nU02:%x[0,0]/%x[0,0]/%x[0,0]\nB\n")
+
+
+def paired_corpus(seed=4):
+    """Sentences of rare words, each sentence twice, then one sentence of
+    words seen nowhere else: under ONE_SIDED, which reads only the token
+    itself, that sentence keeps no unigram string at cutoff 2."""
+    rng = random.Random(seed)
+    rows = [[("w%03d" % rng.randrange(1000), "T%d" % rng.randrange(8))
+             for _ in range(rng.randint(1, 6))] for _ in range(15)]
+    return corpus_of(rows * 2 + [[("plugh", "T0"), ("xyzzy", "T1")]])
+
+
+class TestTokenCoordinates:
+    """With fewer tokens than unigram strings, train runs L-BFGS on token
+    coordinates; the iterates must be those of L-BFGS on the weights."""
+
+    @pytest.mark.parametrize("corpus, templates, config", [
+        (SEPARABLE, parse_templates(default_templates([0])),
+         TrainingConfig(max_iterations=100)),
+        (OMELETTE, parse_templates(default_templates([0])),
+         TrainingConfig(sigma=3.0, max_iterations=5)),
+        (wide_corpus(), parse_templates(default_templates([0])),
+         TrainingConfig(sigma=10.0, max_iterations=60, tolerance=1e-7)),
+        (paired_corpus(), ONE_SIDED,
+         TrainingConfig(sigma=10.0, max_iterations=60, tolerance=1e-7, cutoff=2)),
+    ])
+    def test_match_weight_coordinates(self, corpus, templates, config, monkeypatch):
+        bases = []
+        token_basis = crf._TokenBasis
+        monkeypatch.setattr(crf, "_TokenBasis",
+                            lambda enc: bases.append(1) or token_basis(enc))
+        model = train(corpus, templates, config)
+        assert bases and corpus.n_tokens < len(model.dictionary.uni_strings)
+        monkeypatch.setattr(crf, "_TokenBasis", lambda enc: None)
+        reference = train(corpus, templates, config)
+        assert model.dictionary == reference.dictionary
+        assert (model.iterations, model.evaluations, model.stop) == (
+            reference.iterations, reference.evaluations, reference.stop)
+        scale = np.abs(reference.weights).max()
+        assert np.abs(model.weights - reference.weights).max() <= 1e-6 * scale
+        assert np.allclose(model.trace, reference.trace, rtol=1e-9, atol=0)
+
+    def test_the_cutoff_corpus_has_a_sentence_without_unigram_strings(self):
+        corpus = paired_corpus()
+        model = train(corpus, ONE_SIDED, TrainingConfig(cutoff=2, max_iterations=5))
+        lonely = select_sentences(corpus, [corpus.n_sentences - 1])
+        enc = crf._encode(lonely, model.templates, model.dictionary, None)
+        assert enc.activations.nnz == 0
+
+    def test_more_tokens_than_strings_train_on_the_weights(self, monkeypatch):
+        monkeypatch.setattr(crf, "_TokenBasis", None)  # fails if called
+        templates = parse_templates("U00:%x[0,0]\nB\n")
+        model = train(SEPARABLE, templates, TrainingConfig(max_iterations=30))
+        assert SEPARABLE.n_tokens >= len(model.dictionary.uni_strings)
 
 
 class TestTagging:

@@ -47,7 +47,9 @@ class TestByteIdentity:
     """Digests of model files trained with the packed forward-backward.
     Training from the same corpus and templates must keep writing these
     exact bytes; a kernel that sums in another order moves the weights in
-    their last digits, and so these digests."""
+    their last digits, and so these digests.  The toy corpus has fewer
+    tokens than unigram strings, so it trains on token coordinates; the
+    c10 stage has more, and trains on the weights."""
 
     @staticmethod
     def digest(model, tmp_path):
@@ -62,7 +64,7 @@ class TestByteIdentity:
         toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
         model = train(toy, parse_templates(default_templates(range(2))))
         assert self.digest(model, tmp_path) == (
-            "86dccc67bb7a30f658ecf74c435839b87fee5efd94386e01a6032ba45242cc2e"
+            "658116a8e530c45571a9e595681e878fed4c4def5de2c46b36e46e3481bd55f0"
         )
 
     def test_first_cascade_stage_on_the_c10_corpus(self, tmp_path):
