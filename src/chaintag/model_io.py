@@ -1,13 +1,20 @@
 """Versioned text serialization for trained models.
 
 A model file is UTF-8: a header (format version, label alphabet, sigma,
-iteration count, cutoff, template hash), the template text verbatim, the
-retained feature strings with their corpus counts, and one weight per
-line.  Weights are written with repr so the float round-trip is exact and
-a reloaded model tags byte-identically.
+iteration count, objective calls and stop reason, cutoff, template hash),
+the template text verbatim, the retained feature strings with their
+corpus counts, and one weight per line.  Weights are written with repr so
+the float round-trip is exact and a reloaded model tags byte-identically.
+
+Reading parses the header and the template and feature sections line by
+line, and the weight section, always last, in one numpy pass, so a reload
+holds no Python object per weight.  Version 1 files, written before the
+optimizer outcome was kept, still read, with the outcome unknown ("", 0).
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -21,7 +28,22 @@ from .templates import (
 )
 
 MAGIC = "chaintag-model"
-VERSION = 1
+VERSION = 2
+
+# The header lines after the magic line, by format version.
+_HEADER_KEYS = {
+    1: ("labels", "sigma", "iterations", "cutoff", "template-sha256"),
+    2: ("labels", "sigma", "iterations", "evaluations", "stop", "cutoff",
+        "template-sha256"),
+}
+_SECTIONS = ("[templates]", "[unigrams]", "[bigrams]")
+_WEIGHTS = "\n[weights]\n"
+# numpy's text reader takes any run of whitespace as one separator (and
+# reads text of whitespace alone as [-1.]), and reads "nan(...)", which
+# float() refuses.  In weight text with none of these characters and no
+# blank line, each separator is one newline, so numpy reads one number per
+# line, as float() reads it, or fails.
+_NOT_IN_WEIGHTS = (" ", "\t", "\r", "\x0b", "\x0c", "(")
 
 
 # Weight lines are rendered this many at a time.
@@ -36,6 +58,8 @@ def _model_lines(model: LinearChainModel):
     yield "labels\t" + "\t".join(d.labels) + "\n"
     yield "sigma\t" + repr(model.sigma) + "\n"
     yield "iterations\t%d\n" % model.iterations
+    yield "evaluations\t%d\n" % model.evaluations
+    yield "stop\t%s\n" % model.stop
     yield "cutoff\t%d\n" % d.cutoff
     yield "template-sha256\t" + template_hash(template_text) + "\n"
     yield "[templates]\n"
@@ -62,26 +86,50 @@ def _header_value(lines: list[str], i: int, key: str) -> str:
     return lines[i].split("\t", 1)[1]
 
 
+def _parse_weights(body: str, n: int) -> np.ndarray:
+    """The n weights of a weight section, one per line, in one numpy pass.
+    Refuses every section that float() on each line refuses."""
+    if (body.startswith("\n") or "\n\n" in body
+            or any(c in body for c in _NOT_IN_WEIGHTS)):
+        raise ModelFormatError("weights must be one number per line, with no"
+                               " blank line, space, tab or parenthesis")
+    try:
+        # older numpy releases only warn when they stop at an unreadable token
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            weights = np.fromstring(body, sep="\n")
+    except (ValueError, DeprecationWarning) as err:
+        raise ModelFormatError("bad weight: %s" % err) from None
+    if weights.size != n:
+        raise ModelFormatError("expected %d weights, found %d" % (n, weights.size))
+    return weights
+
+
 def parse_model(text: str) -> LinearChainModel:
+    if not text.endswith("\n"):  # a file may lack its final newline
+        text += "\n"
+    cut = text.find(_WEIGHTS)
     # Split on "\n" only, as parse_corpus does: str.splitlines would also
     # break at characters such as U+2028 that corpus cells may contain.
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "%s %d" % (MAGIC, VERSION):
-        raise ModelFormatError("not a %s version %d file" % (MAGIC, VERSION))
-    labels = tuple(_header_value(lines, 1, "labels").split("\t"))
+    head = text[: cut + 1] if cut >= 0 else text
+    lines = head.split("\n")[:-1]  # the last is the "" after the final newline
+    versions = {"%s %d" % (MAGIC, v): v for v in _HEADER_KEYS}
+    if not lines or lines[0] not in versions:
+        raise ModelFormatError("not a %s version 1 or %d file" % (MAGIC, VERSION))
+    keys = _HEADER_KEYS[versions[lines[0]]]
+    header = {key: _header_value(lines, i, key) for i, key in enumerate(keys, 1)}
+    labels = tuple(header["labels"].split("\t"))
     try:
-        sigma = float(_header_value(lines, 2, "sigma"))
-        iterations = int(_header_value(lines, 3, "iterations"))
-        cutoff = int(_header_value(lines, 4, "cutoff"))
+        sigma = float(header["sigma"])
+        iterations = int(header["iterations"])
+        evaluations = int(header.get("evaluations", 0))
+        cutoff = int(header["cutoff"])
     except ValueError as err:
         raise ModelFormatError("bad header number: %s" % err) from None
-    stated_hash = _header_value(lines, 5, "template-sha256")
     sections: dict[str, list[str]] = {}
     current = None
-    for lineno, line in enumerate(lines[6:], start=7):
-        if line in ("[templates]", "[unigrams]", "[bigrams]", "[weights]"):
+    for lineno, line in enumerate(lines[len(keys) + 1 :], start=len(keys) + 2):
+        if line in _SECTIONS:
             if line in sections:
                 raise ModelFormatError("duplicate section %s" % line)
             current = sections.setdefault(line, [])
@@ -89,12 +137,13 @@ def parse_model(text: str) -> LinearChainModel:
         if current is None:
             raise ModelFormatError("line %d outside any section" % lineno)
         current.append(line)
-    missing = [s for s in ("[templates]", "[unigrams]", "[bigrams]", "[weights]")
-               if s not in sections]
+    missing = [s for s in _SECTIONS if s not in sections]
+    if cut < 0:
+        missing.append("[weights]")
     if missing:
         raise ModelFormatError("missing sections: %s" % ", ".join(missing))
     template_text = "\n".join(sections["[templates]"]) + "\n"
-    if template_hash(template_text) != stated_hash:
+    if template_hash(template_text) != header["template-sha256"]:
         raise ModelFormatError("template hash does not match the template text")
     templates = parse_templates(template_text)
     counts: dict[str, int] = {}
@@ -117,21 +166,15 @@ def parse_model(text: str) -> LinearChainModel:
         counts=counts,
         cutoff=cutoff,
     )
-    try:
-        weights = np.fromiter(map(float, sections["[weights]"]), dtype=float)
-    except ValueError as err:
-        raise ModelFormatError("bad weight: %s" % err) from None
-    if len(weights) != dictionary.n_weights:
-        raise ModelFormatError(
-            "expected %d weights, found %d" % (dictionary.n_weights, len(weights))
-        )
     return LinearChainModel(
         dictionary=dictionary,
         templates=templates,
-        weights=weights,
+        weights=_parse_weights(text[cut + len(_WEIGHTS) :], dictionary.n_weights),
         sigma=sigma,
         iterations=iterations,
         trace=(),
+        stop=header.get("stop", ""),
+        evaluations=evaluations,
     )
 
 
