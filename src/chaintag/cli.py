@@ -3,7 +3,8 @@
 Every referenced input file is read and parsed before any training
 starts, so configuration mistakes surface immediately.  Diagnostics go
 to stderr; data goes to files or stdout.  Exit codes: 0 on success, 1
-on user or input errors, 2 on internal invariant violations.
+on user or input errors (a file that cannot be read, decoded or written
+among them), 2 on internal invariant violations.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .crf import (
     tag as tag_corpus,
     train as train_model,
 )
-from .errors import ChaintagError, ColumnMismatchError, PipelineConfigError
+from .errors import ChaintagError, PipelineConfigError
 from .evaluation import cross_validate, format_report
-from .model_io import load_model, save_model
+from .model_io import parse_model, save_model
 from .pipelines import NAMED_PIPELINES, named_pipeline, parse_pipeline_spec
 from .tagschema import (
     ComponentTag,
@@ -53,17 +54,8 @@ def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
-    except OSError as err:
-        raise ChaintagError("cannot read %s %r: %s" % (what, path, err)) from err
-
-
-def _load_corpus(path: str, schema: ColumnSchema):
-    try:
-        return load_corpus(path, schema)
-    except OSError as err:
-        raise ChaintagError(
-            "cannot read corpus %r: %s" % (path, err)
-        ) from err
+    except UnicodeDecodeError as err:
+        raise ChaintagError("%s %r is not UTF-8: %s" % (what, path, err)) from err
 
 
 def _columns(text: str) -> ColumnSchema:
@@ -76,27 +68,25 @@ def _schema_from(args):
     return parse_schema(_read_text(args.schema, "schema file"))
 
 
-def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        sigma=args.sigma,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        cutoff=args.cutoff,
-    )
+_TRAINING_FLAGS = {  # TrainingConfig field: help text
+    "sigma": "regularization scale",
+    "max_iterations": "optimizer iteration cap",
+    "tolerance": "relative convergence threshold",
+    "cutoff": "minimum feature-string count",
+}
 
 
-def _add_training_flags(parser, defaults=TrainingConfig()):
-    parser.add_argument("--sigma", type=float, default=defaults.sigma,
-                        help="regularization scale (default %(default)s)")
-    parser.add_argument("--max-iterations", type=int,
-                        default=defaults.max_iterations,
-                        help="optimizer iteration cap (default %(default)s)")
-    parser.add_argument("--tolerance", type=float, default=defaults.tolerance,
-                        help="relative convergence threshold "
-                             "(default %(default)s)")
-    parser.add_argument("--cutoff", type=int, default=defaults.cutoff,
-                        help="minimum feature-string count (default "
-                             "%(default)s)")
+def _add_training_flags(parser):
+    for key, text in _TRAINING_FLAGS.items():
+        default = getattr(TrainingConfig(), key)
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default),
+                            help="%s (default %s)" % (text, default))
+
+
+def _training_config(args, base: TrainingConfig) -> TrainingConfig:
+    """base with the training flags given on the command line."""
+    return replace(base, **{key: getattr(args, key) for key in _TRAINING_FLAGS
+                            if getattr(args, key) is not None})
 
 
 def cmd_train(args) -> int:
@@ -108,8 +98,8 @@ def cmd_train(args) -> int:
     else:
         template_text = default_templates(range(schema.width - 1))
     templates = parse_templates(template_text)
-    corpus = _load_corpus(args.corpus, schema)
-    model = train_model(corpus, templates, _training_config(args))
+    corpus = load_corpus(args.corpus, schema)
+    model = train_model(corpus, templates, _training_config(args, TrainingConfig()))
     save_model(model, args.model)
     print(
         "trained %d iterations, %d objective calls, stopped: %s, "
@@ -125,19 +115,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as err:
-        raise ChaintagError(
-            "cannot read model %r: %s" % (args.model, err)
-        ) from err
-    schema = _columns(args.columns)
-    corpus = _load_corpus(args.corpus, schema)
-    if schema.width <= model.max_macro_column:
-        raise ColumnMismatchError(
-            "%s has %d columns but the model reads column %d"
-            % (args.corpus, schema.width, model.max_macro_column)
-        )
+    model = parse_model(_read_text(args.model, "model"))
+    corpus = load_corpus(args.corpus, _columns(args.columns))
     predictions = [label for s in tag_corpus(model, corpus) for label in s]
     tagged = append_column(corpus, args.column, predictions)
     if args.output is None:
@@ -154,20 +133,7 @@ def _resolve_pipeline(args):
         spec = parse_pipeline_spec(
             _read_text(args.pipeline, "pipeline file")
         )
-    config = replace(
-        spec.config,
-        **{
-            key: value
-            for key, value in (
-                ("sigma", args.sigma),
-                ("max_iterations", args.max_iterations),
-                ("tolerance", args.tolerance),
-                ("cutoff", args.cutoff),
-            )
-            if value is not None
-        },
-    )
-    return replace(spec, config=config)
+    return replace(spec, config=_training_config(args, spec.config))
 
 
 def cmd_cv(args) -> int:
@@ -180,7 +146,7 @@ def cmd_cv(args) -> int:
         raise PipelineConfigError(
             "label column %r is not in --columns" % spec.label_column
         )
-    corpus = _load_corpus(args.corpus, corpus_schema)
+    corpus = load_corpus(args.corpus, corpus_schema)
     report = cross_validate(spec, corpus, args.k, args.seed, schema)
     text = format_report(report, include_timings=args.include_timings)
     if args.output is None:
@@ -244,7 +210,9 @@ def build_parser() -> _Parser:
                        help="output file (default: stdout)")
     p_tag.set_defaults(func=cmd_tag)
 
-    p_cv = sub.add_parser("cv", help="k-fold cross-validate a pipeline")
+    p_cv = sub.add_parser("cv", help="k-fold cross-validate a pipeline",
+                          description="Training flags override the pipeline's "
+                                      "[training] settings.")
     p_cv.add_argument("corpus", help="tab-separated labeled corpus")
     p_cv.add_argument("--columns", required=True,
                       help="comma-separated column names")
@@ -257,10 +225,7 @@ def build_parser() -> _Parser:
                       help="report file (default: stdout)")
     p_cv.add_argument("--include-timings", action="store_true",
                       help="append wall-clock timings to the report")
-    p_cv.add_argument("--sigma", type=float, default=None)
-    p_cv.add_argument("--max-iterations", type=int, default=None)
-    p_cv.add_argument("--tolerance", type=float, default=None)
-    p_cv.add_argument("--cutoff", type=int, default=None)
+    _add_training_flags(p_cv)
     p_cv.add_argument("--schema", metavar="PATH", default=None,
                       help="tagset schema file (default: bundled)")
     p_cv.set_defaults(func=cmd_cv)
@@ -289,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChaintagError as err:
+    except (ChaintagError, OSError) as err:  # OSError names its file
         print("chaintag: %s" % err, file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - last-resort diagnostic

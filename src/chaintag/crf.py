@@ -100,8 +100,11 @@ class TrainingConfig:
         if not 0 < self.tolerance <= float_info.max:
             raise TrainingConfigError(
                 "tolerance must be positive and finite, got %r" % self.tolerance)
-        if self.max_iterations < 0 or self.cutoff < 1:
-            raise TrainingConfigError("bad training configuration")
+        if self.max_iterations < 0:
+            raise TrainingConfigError(
+                "max_iterations must be at least 0, got %r" % self.max_iterations)
+        if self.cutoff < 1:
+            raise TrainingConfigError("cutoff must be at least 1, got %r" % self.cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,16 +144,6 @@ class LinearChainModel:
         return max(cols) if cols else -1
 
 
-def _check_width(templates: Sequence[FeatureTemplate], width: int) -> None:
-    for t in templates:
-        for m in t.macros:
-            if m.col >= width:
-                raise ColumnMismatchError(
-                    "template %s reads column %d but the corpus has %d columns"
-                    % (t.id, m.col, width)
-                )
-
-
 def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
     """The lattice of a one-sentence corpus, such as
     select_sentences(corpus, [i]): sums the weights of firing features;
@@ -160,7 +153,7 @@ def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
             "a lattice needs a one-sentence corpus, got %d sentences"
             % corpus.n_sentences
         )
-    enc = _encode_for(model, corpus)
+    enc = _encode(corpus, model.templates, model.dictionary)
     unary, P = _scores(model.weights, enc)
     return Lattice(unary, P[enc.classes])
 
@@ -249,7 +242,7 @@ def _encode(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     dictionary: FeatureDictionary,
-    label_column: int | None,
+    label_column: int | None = None,
     index: FeatureIndex | None = None,
 ) -> _Encoded:
     """Fold a corpus into index space; gold feature counts are taken only
@@ -759,7 +752,6 @@ def train(
                 raise ColumnMismatchError(
                     "template %s reads the label column %d" % (t.id, m.col)
                 )
-    _check_width(templates, corpus.schema.width)
     index = index_features(corpus, templates)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
     enc = _encode(corpus, templates, dictionary, column, index)
@@ -792,29 +784,24 @@ def train(
     )
 
 
-def _encode_for(model: LinearChainModel, corpus: Corpus) -> _Encoded:
-    _check_width(model.templates, corpus.schema.width)
-    return _encode(corpus, model.templates, model.dictionary, None)
-
-
 def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
     """Viterbi labels per sentence; unknown words fall back to whatever
     transition and boundary features say."""
-    enc = _encode_for(model, corpus)
+    enc = _encode(corpus, model.templates, model.dictionary)
     labels = np.array(model.labels, dtype=object)[_best_paths(model.weights, enc)]
     return [labels[start:end].tolist() for start, end in enc.bounds]
 
 
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
-    enc = _encode_for(model, corpus)
+    enc = _encode(corpus, model.templates, model.dictionary)
     node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
     return [node[start:end] for start, end in enc.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
-    enc = _encode_for(model, corpus)
+    enc = _encode(corpus, model.templates, model.dictionary)
     node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
     best = node[np.arange(len(node)), _best_paths(model.weights, enc)]
     return [best[start:end].tolist() for start, end in enc.bounds]

@@ -95,15 +95,15 @@ class DuplicateTemplateIdError(ChaintagError):
     pass
 
 
-class BadColumnError(ChaintagError):
-    pass
-
-
-# model / training
-
 class ColumnMismatchError(ChaintagError):
     pass
 
+
+class BadColumnError(ColumnMismatchError):
+    """A template reads past the corpus width."""
+
+
+# model / training
 
 class UnknownLabelError(ChaintagError):
     pass

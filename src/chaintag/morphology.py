@@ -9,10 +9,9 @@ how to derive the non-base ones.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass
 
-from .corpus import Corpus, append_column, first_sentinel
+from .corpus import Corpus, _nfc, append_column, first_sentinel
 from .errors import (
     CorpusFormatError,
     EmptyInputError,
@@ -32,10 +31,6 @@ class StemSplit:
     stem: str
     word_rest: str
     lemma_rest: str
-
-
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
 
 
 def split_stem(word: str, lemma: str) -> StemSplit:

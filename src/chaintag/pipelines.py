@@ -27,6 +27,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -388,88 +389,75 @@ def run_pipeline(
 # --- pipeline spec files ----------------------------------------------
 
 
+# Each section's keys in file order, with how to read and write a value.
+# A key whose value is None is left out of the file.
+_SPEC_FILE = {
+    "pipeline": (
+        ("id", str, str),
+        ("strategy", str, str),
+        ("recipe", parse_recipe, attrgetter("text")),
+        ("target", str, str),
+        ("recombination", str, str),
+        ("recombiner_recipe", parse_recipe, attrgetter("text")),
+        ("stage_source", str, str),
+        ("jackknife_folds", int, "%d".__mod__),
+        ("seed", int, "%d".__mod__),
+        ("label_column", str, str),
+    ),
+    "training": (
+        ("sigma", float, repr),
+        ("max_iterations", int, "%d".__mod__),
+        ("tolerance", float, repr),
+        ("cutoff", int, "%d".__mod__),
+    ),
+}
+
+
 def format_pipeline_spec(spec: PipelineSpec) -> str:
     """Canonical key=value form, embedded verbatim in reports."""
-    lines = [
-        "[pipeline]",
-        "id = %s" % spec.id,
-        "strategy = %s" % spec.strategy,
-        "recipe = %s" % spec.recipe.text,
-        "target = %s" % spec.target,
-    ]
-    if spec.recombination is not None:
-        lines.append("recombination = %s" % spec.recombination)
-    if spec.recombiner_recipe is not None:
-        lines.append("recombiner_recipe = %s" % spec.recombiner_recipe.text)
-    lines += [
-        "stage_source = %s" % spec.stage_source,
-        "jackknife_folds = %d" % spec.jackknife_folds,
-        "seed = %d" % spec.seed,
-        "label_column = %s" % spec.label_column,
-        "[training]",
-        "sigma = %s" % repr(spec.config.sigma),
-        "max_iterations = %d" % spec.config.max_iterations,
-        "tolerance = %s" % repr(spec.config.tolerance),
-        "cutoff = %d" % spec.config.cutoff,
-    ]
+    lines = []
+    for section, keys in _SPEC_FILE.items():
+        lines.append("[%s]" % section)
+        owner = spec.config if section == "training" else spec
+        for key, _, write in keys:
+            value = getattr(owner, key)
+            if value is not None:
+                lines.append("%s = %s" % (key, write(value)))
     return "\n".join(lines) + "\n"
-
-
-_PIPELINE_KEYS = {
-    "id", "strategy", "recipe", "target", "recombination",
-    "recombiner_recipe", "stage_source", "jackknife_folds", "seed",
-    "label_column",
-}
-_TRAINING_KEYS = {"sigma", "max_iterations", "tolerance", "cutoff"}
 
 
 def parse_pipeline_spec(text: str) -> PipelineSpec:
     """Parse a spec file; a bare id pulls the named configuration and the
-    remaining keys override it."""
+    remaining keys override it.  Training keys left out keep
+    TrainingConfig's defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise PipelineConfigError("bad pipeline file: %s" % err) from None
-    unknown_sections = set(parser.sections()) - {"pipeline", "training"}
+    unknown_sections = set(parser.sections()) - set(_SPEC_FILE)
     if unknown_sections:
         raise PipelineConfigError(
             "unknown sections: %s" % ", ".join(sorted(unknown_sections))
         )
     if "pipeline" not in parser:
         raise PipelineConfigError("missing [pipeline] section")
-    p = parser["pipeline"]
-    unknown = set(p) - _PIPELINE_KEYS
-    if unknown:
-        raise PipelineConfigError("unknown keys: %s" % ", ".join(sorted(unknown)))
-    training = parser["training"] if "training" in parser else {}
-    unknown = set(training) - _TRAINING_KEYS
-    if unknown:
-        raise PipelineConfigError(
-            "unknown training keys: %s" % ", ".join(sorted(unknown))
-        )
+    given = {}
     try:
-        config = TrainingConfig(
-            sigma=float(training.get("sigma", 1.0)),
-            max_iterations=int(training.get("max_iterations", 300)),
-            tolerance=float(training.get("tolerance", 1e-5)),
-            cutoff=int(training.get("cutoff", 1)),
-        )
-        fields: dict = {"config": config}
-        for key in ("strategy", "target", "recombination", "stage_source",
-                    "label_column"):
-            if key in p:
-                fields[key] = p[key]
-        for key in ("recipe", "recombiner_recipe"):
-            if key in p:
-                fields[key] = parse_recipe(p[key])
-        for key in ("jackknife_folds", "seed"):
-            if key in p:
-                fields[key] = int(p[key])
-        pipeline_id = p.get("id", "custom")
+        for section, keys in _SPEC_FILE.items():
+            values = parser[section] if section in parser else {}
+            readers = {key: read for key, read, _ in keys}
+            unknown = set(values) - set(readers)
+            if unknown:
+                raise PipelineConfigError("unknown %skeys: %s" % (
+                    "training " if section == "training" else "",
+                    ", ".join(sorted(unknown))))
+            given[section] = {key: readers[key](values[key]) for key in values}
+        fields = {**given["pipeline"], "config": TrainingConfig(**given["training"])}
+        pipeline_id = fields.pop("id", "custom")
         if pipeline_id in NAMED_PIPELINES:
             return named_pipeline(pipeline_id, **fields)
-        if "strategy" not in p or "recipe" not in p:
+        if "strategy" not in fields or "recipe" not in fields:
             raise PipelineConfigError("unnamed pipelines need strategy and recipe")
         return PipelineSpec(pipeline_id, **fields)
     except ValueError as err:

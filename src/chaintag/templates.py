@@ -152,13 +152,13 @@ def index_features(
     Distinct keys that spell one string ("a/b" + "c", "a" + "b/c") share
     the earliest key's id.
     """
-    macros = [m for t in templates for m in t.macros]
     width = corpus.schema.width
-    for m in macros:
-        if m.col >= width:
-            raise BadColumnError(
-                "macro column %d out of range (width %d)" % (m.col, width)
-            )
+    for t in templates:
+        for m in t.macros:
+            if m.col >= width:
+                raise BadColumnError("template %s reads column %d but the corpus "
+                                     "has %d columns" % (t.id, m.col, width))
+    macros = [m for t in templates for m in t.macros]
     pad = max((abs(m.row) for m in macros), default=0)
     n, n_sentences = corpus.n_tokens, corpus.n_sentences
     left = tuple("_B%d" % -k for k in range(pad, 0, -1))

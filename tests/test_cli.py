@@ -181,6 +181,8 @@ def test_train_needs_at_least_two_columns(toy_path, capsys):
     ("--sigma", "inf"),
     ("--tolerance", "nan"),
     ("--tolerance", "inf"),
+    ("--cutoff", "0"),
+    ("--max-iterations", "-1"),
 ])
 def test_train_refuses_settings_it_cannot_train_with(toy_path, tmp_path, capsys,
                                                      flags):
@@ -189,7 +191,10 @@ def test_train_refuses_settings_it_cannot_train_with(toy_path, tmp_path, capsys,
                     "--model", str(model), *flags])
     assert code == 1
     err = capsys.readouterr().err
-    assert flags[0][2:] in err and "internal error" not in err
+    # the message names the setting and its value
+    value = (float if flags[0] in ("--sigma", "--tolerance") else int)(flags[1])
+    assert flags[0][2:].replace("-", "_") in err and "got %r" % value in err
+    assert "internal error" not in err
     assert not model.exists()
 
 
@@ -360,6 +365,32 @@ def test_removed_flags_are_usage_errors(capsys):
     ):
         assert run_cli(argv) == 1, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "TOY", "--columns", "mot,lemme,tag", "--max-iterations", "1",
+     "--model", "MISSING"],
+    ["cv", "TOY", "--columns", "mot,lemme,tag", "--pipeline", "IVbis",
+     "--k", "2", "--max-iterations", "1", "--output", "MISSING"],
+    ["tag", "TOY", "--columns", "mot,lemme,tag", "--model", "LATIN1"],
+    ["schema", "validate", "--schema", "LATIN1"],
+    ["train", "TOY", "--columns", "mot,lemme,tag", "--templates", "LATIN1",
+     "--model", "MISSING"],
+    ["cv", "TOY", "--columns", "mot,lemme,tag", "--pipeline", "LATIN1"],
+    ["train", "LATIN1", "--columns", "mot,tag", "--model", "MISSING"],
+], ids=["train-model", "cv-output", "tag-model", "schema", "templates",
+        "pipeline", "corpus"])
+def test_files_that_cannot_be_read_or_written_exit_with_one(
+    toy_path, tmp_path, capsys, argv
+):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("[pipeline]\nid = \xc9t\xe9\n".encode("latin-1"))
+    paths = {"TOY": toy_path, "LATIN1": str(latin1),
+             "MISSING": str(tmp_path / "no such directory" / "out")}
+    culprit = paths["LATIN1" if "LATIN1" in argv else "MISSING"]
+    assert run_cli([paths.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert culprit in err and "internal error" not in err
 
 
 def test_internal_errors_exit_with_two(toy_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from chaintag.corpus import ColumnSchema, parse_corpus
 from chaintag.errors import (
     BadColumnError,
+    ColumnMismatchError,
     DuplicateTemplateIdError,
     TemplateSyntaxError,
 )
@@ -105,6 +106,8 @@ class TestExpansion:
         t = parse_templates("U00:%x[0,9]\n")[0]
         with pytest.raises(BadColumnError):
             expand(t, OMELETTE, 0)
+        # the one width check serves callers that catch either type
+        assert issubclass(BadColumnError, ColumnMismatchError)
 
     def test_other_columns_are_reachable(self):
         s = parse_corpus("le\tDETDEFMS\nsel\tNMS\n", SCHEMA)
