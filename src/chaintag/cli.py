@@ -17,6 +17,7 @@ from .corpus import (
     ColumnSchema,
     append_column,
     load_corpus,
+    read_text,
     save_corpus,
     write_corpus,
 )
@@ -28,13 +29,13 @@ from .crf import (
 )
 from .errors import ChaintagError, PipelineConfigError
 from .evaluation import cross_validate, format_report
-from .model_io import parse_model, save_model
-from .pipelines import NAMED_PIPELINES, named_pipeline, parse_pipeline_spec
+from .model_io import load_model, save_model
+from .pipelines import NAMED_PIPELINES, parse_pipeline_spec
 from .tagschema import (
     ComponentTag,
     bundled_schema,
     decompose,
-    parse_schema,
+    load_schema,
     recombine,
     symbol_to_text,
     text_to_symbol,
@@ -50,22 +51,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as err:
-        raise ChaintagError("%s %r is not UTF-8: %s" % (what, path, err)) from err
-
-
 def _columns(text: str) -> ColumnSchema:
     return ColumnSchema(tuple(name.strip() for name in text.split(",")))
 
 
 def _schema_from(args):
-    if args.schema is None:
-        return bundled_schema()
-    return parse_schema(_read_text(args.schema, "schema file"))
+    return bundled_schema() if args.schema is None else load_schema(args.schema)
 
 
 _TRAINING_FLAGS = {  # TrainingConfig field: help text
@@ -94,7 +85,7 @@ def cmd_train(args) -> int:
     if schema.width < 2:
         raise ChaintagError("--columns needs observations plus a label")
     if args.templates is not None:
-        template_text = _read_text(args.templates, "template file")
+        template_text = read_text(args.templates, "template file")
     else:
         template_text = default_templates(range(schema.width - 1))
     templates = parse_templates(template_text)
@@ -115,7 +106,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    model = parse_model(_read_text(args.model, "model"))
+    model = load_model(args.model)
     corpus = load_corpus(args.corpus, _columns(args.columns))
     predictions = [label for s in tag_corpus(model, corpus) for label in s]
     tagged = append_column(corpus, args.column, predictions)
@@ -127,12 +118,8 @@ def cmd_tag(args) -> int:
 
 
 def _resolve_pipeline(args):
-    if args.pipeline in NAMED_PIPELINES:
-        spec = named_pipeline(args.pipeline)
-    else:
-        spec = parse_pipeline_spec(
-            _read_text(args.pipeline, "pipeline file")
-        )
+    spec = NAMED_PIPELINES.get(args.pipeline) or parse_pipeline_spec(
+        read_text(args.pipeline, "pipeline file"))
     return replace(spec, config=_training_config(args, spec.config))
 
 

@@ -3,8 +3,9 @@
 One token per line, columns separated by a single TAB, sentences separated
 by blank lines.  Column 0 is the surface form; remaining columns are
 whatever the schema says (lemma, derived features, gold or predicted tags).
-Lines starting with '#' before the first token are header metadata and are
-kept as the corpus provenance.  All text is NFC-normalized on the way in.
+Lines starting with '#' before the first token or blank line are header
+metadata and are kept as the corpus provenance.  All text is NFC-normalized
+on the way in.
 
 In memory a corpus is a table: one tuple of cells per schema column, all
 in corpus order, and the number of tokens in each sentence.  Every view
@@ -150,6 +151,7 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
             provenance_lines.append(line[2:] if line.startswith("# ") else line[1:])
             continue
         if line == "":
+            in_header = False
             if len(rows) > start:
                 lengths.append(len(rows) - start)
                 start = len(rows)
@@ -174,23 +176,31 @@ def parse_corpus(text: str, schema: ColumnSchema) -> Corpus:
 
 
 def write_corpus(corpus: Corpus) -> str:
-    """Render a corpus back to tab-separated text; inverse of parse_corpus."""
+    """Render a corpus back to tab-separated text; inverse of parse_corpus.
+    A first surface form starting with '#' follows a blank line."""
     out: list[str] = []
     if corpus.provenance:
         for line in corpus.provenance.split("\n"):
             out.append("# " + line if line else "#")
+    if corpus.n_tokens and corpus.columns[0][0].startswith("#"):
+        out.append("")
     rows = list(map("\t".join, zip(*corpus.columns)))
     out.append("\n\n".join("\n".join(rows[start:end]) for start, end in corpus.bounds))
     return "\n".join(out) + "\n"
 
 
-def load_corpus(path, schema: ColumnSchema) -> Corpus:
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file, with universal newlines; EncodingError
+    names the file when it does not decode."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise EncodingError("%s is not valid UTF-8: %s" % (path, e)) from e
-    return parse_corpus(text, schema)
+            return f.read()
+    except UnicodeDecodeError as err:
+        raise EncodingError("%s %s is not valid UTF-8: %s" % (what, path, err)) from err
+
+
+def load_corpus(path, schema: ColumnSchema) -> Corpus:
+    return parse_corpus(read_text(path, "corpus"), schema)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -138,11 +138,6 @@ class LinearChainModel:
     def labels(self) -> tuple[str, ...]:
         return self.dictionary.labels
 
-    @property
-    def max_macro_column(self) -> int:
-        cols = [m.col for t in self.templates for m in t.macros]
-        return max(cols) if cols else -1
-
 
 def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
     """The lattice of a one-sentence corpus, such as
@@ -213,7 +208,6 @@ class _Encoded:
     matrix) in row order.  spans holds each group's rows, edges and sizes.
     """
 
-    bounds: list[tuple[int, int]]
     packed: np.ndarray  # the corpus position of each row
     groups: list[list[int]]  # rows at each step, per group
     classes: np.ndarray  # transition class of each edge
@@ -314,7 +308,7 @@ def _encode(
     activations = sparse.csr_matrix(
         (np.ones(len(tokens)), (position[tokens], uni_rows)), shape=(n_tokens, n_uni)
     )
-    return _Encoded(list(corpus.bounds), packed, groups, rank[inverse.ravel()][
+    return _Encoded(packed, groups, rank[inverse.ravel()][
         np.concatenate(edge)], activations, transitions, empirical,
         None if y is None else y[packed], L)
 
@@ -560,23 +554,11 @@ class _TokenBasis:
         return np.concatenate([rows.ravel(), w[u.size :]])
 
 
-def objective_and_gradient(
-    model: LinearChainModel, data: Corpus, sigma: float, label_column: int | None = None
-):
-    """Value and gradient at the model's current weights on labeled data."""
-    column = _label_column(data, label_column)
-    enc = _encode(data, model.templates, model.dictionary, column)
+def objective_and_gradient(model: LinearChainModel, data: Corpus, sigma: float):
+    """Value and gradient at the model's current weights on data labeled
+    in its last column."""
+    enc = _encode(data, model.templates, model.dictionary, data.schema.width - 1)
     return _objective(model.weights, enc, sigma)
-
-
-def _label_column(corpus: Corpus, label_column: int | None) -> int:
-    width = corpus.schema.width
-    column = width - 1 if label_column is None else label_column
-    if column < 0:
-        column += width
-    if not 0 <= column < width:
-        raise ColumnMismatchError("label column out of range")
-    return column
 
 
 # --- optimizer ---------------------------------------------------------
@@ -732,20 +714,18 @@ def train(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     config: TrainingConfig | None = None,
-    label_column: int | None = None,
 ) -> LinearChainModel:
     """Fit weights by L-BFGS on the exact batch objective.
 
-    The label column defaults to the last column; templates may only read
-    the columns before it.  max_iterations=0 returns the zero-weight
-    model.  The objective at the start and after every accepted step, the
-    number of objective calls and the optimizer's stop reason are kept on
-    the model.
+    The labels are the last column; templates may only read the columns
+    before it.  max_iterations=0 returns the zero-weight model.  The
+    objective at the start and after every accepted step, the number of
+    objective calls and the optimizer's stop reason are kept on the model.
     """
     config = config or TrainingConfig()
     if corpus.n_tokens == 0:
         raise EmptyTrainingSetError("no tokens to train on")
-    column = _label_column(corpus, label_column)
+    column = corpus.schema.width - 1
     for t in templates:
         for m in t.macros:
             if m.col == column:
@@ -789,14 +769,14 @@ def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
     transition and boundary features say."""
     enc = _encode(corpus, model.templates, model.dictionary)
     labels = np.array(model.labels, dtype=object)[_best_paths(model.weights, enc)]
-    return [labels[start:end].tolist() for start, end in enc.bounds]
+    return [labels[start:end].tolist() for start, end in corpus.bounds]
 
 
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
     enc = _encode(corpus, model.templates, model.dictionary)
     node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
-    return [node[start:end] for start, end in enc.bounds]
+    return [node[start:end] for start, end in corpus.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
@@ -804,4 +784,4 @@ def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     enc = _encode(corpus, model.templates, model.dictionary)
     node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
     best = node[np.arange(len(node)), _best_paths(model.weights, enc)]
-    return [best[start:end].tolist() for start, end in enc.bounds]
+    return [best[start:end].tolist() for start, end in corpus.bounds]

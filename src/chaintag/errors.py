@@ -79,8 +79,8 @@ class NoValidTupleError(ChaintagError):
     pass
 
 
-class UndecomposableTagError(ChaintagError):
-    pass
+class UndecomposableTagError(UnknownTagError):
+    """An L2 tag outside the schema's decomposition map."""
 
 
 # feature templates

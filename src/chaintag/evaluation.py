@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, drop_column, select_sentences
-from .errors import (
-    LengthMismatchError,
-    TooFewSentencesError,
-    UndecomposableTagError,
-    UnknownTagError,
-)
-from .tagschema import TagSchema, decompose, project_tag
+from .errors import LengthMismatchError, TooFewSentencesError
+from .tagschema import TagSchema, decompose, format_schema, project_tag
+from .templates import template_hash
 
 CONFUSION_ROWS = 10
 
@@ -70,24 +66,35 @@ def kfold_split(corpus: Corpus, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(k, seed, tuple(assignment))
 
 
-def token_accuracy(gold: Sequence[str], predicted: Sequence[str]) -> float:
-    """Exact-match fraction over tokens."""
+def _scored(gold: Sequence[str], predicted: Sequence[str]) -> int:
+    """The number of tokens scored, which must be the same and not 0."""
     if len(gold) != len(predicted):
         raise LengthMismatchError(
             "%d gold labels vs %d predictions" % (len(gold), len(predicted))
         )
     if not gold:
         raise LengthMismatchError("cannot score an empty label sequence")
-    return sum(g == p for g, p in zip(gold, predicted)) / len(gold)
+    return len(gold)
 
 
-def _decompose_or_raise(schema: TagSchema, tag: str):
-    try:
-        return decompose(schema, tag)
-    except UnknownTagError:
-        raise UndecomposableTagError(
-            "tag %r has no decomposition in the schema" % tag
-        ) from None
+def token_accuracy(gold: Sequence[str], predicted: Sequence[str]) -> float:
+    """Exact-match fraction over tokens."""
+    n = _scored(gold, predicted)
+    return sum(g == p for g, p in zip(gold, predicted)) / n
+
+
+def _component_matches(
+    gold: Sequence[str], predicted: Sequence[str], schema: TagSchema
+) -> list[int]:
+    """For each of the four components, the tokens whose gold and
+    predicted tags agree on it."""
+    _scored(gold, predicted)
+    matches = [0, 0, 0, 0]
+    for g, p in zip(gold, predicted):
+        pairs = zip(decompose(schema, g).astuple, decompose(schema, p).astuple)
+        for i, (a, b) in enumerate(pairs):
+            matches[i] += a == b
+    return matches
 
 
 def partial_credit(
@@ -95,18 +102,7 @@ def partial_credit(
 ) -> float:
     """Mean per-token fraction of matching components (empty-vs-empty
     counts as a match, like any other equality)."""
-    if len(gold) != len(predicted):
-        raise LengthMismatchError(
-            "%d gold labels vs %d predictions" % (len(gold), len(predicted))
-        )
-    if not gold:
-        raise LengthMismatchError("cannot score an empty label sequence")
-    total = 0.0
-    for g, p in zip(gold, predicted):
-        gt = _decompose_or_raise(schema, g)
-        pt = _decompose_or_raise(schema, p)
-        total += sum(a == b for a, b in zip(gt.astuple, pt.astuple)) / 4.0
-    return total / len(gold)
+    return sum(_component_matches(gold, predicted, schema)) / (4 * len(gold))
 
 
 @dataclass(frozen=True)
@@ -221,31 +217,24 @@ def cross_validate(
             "fold %d: column %r stripped before tagging; %s"
             % (fold, spec.label_column, "; ".join(result.audit))
         )
+    pooled = token_accuracy(all_gold, all_predicted)
     level_accuracies: dict[str, float] = {}
     component_accuracies: dict[str, float] = {}
     credit = None
     if schema is not None:
-        known = all(
-            t in schema.decomposition for t in set(all_gold) | set(all_predicted)
-        )
-        if known:
+        if all(t in schema.decomposition for t in {*all_gold, *all_predicted}):
             for level in ("L0", "L1"):
                 level_accuracies[level] = token_accuracy(
                     [project_tag(schema, t, level) for t in all_gold],
                     [project_tag(schema, t, level) for t in all_predicted],
                 )
-            level_accuracies["L2"] = token_accuracy(all_gold, all_predicted)
-            for i in range(4):
-                component_accuracies["G%d" % i] = token_accuracy(
-                    [decompose(schema, t).component(i) for t in all_gold],
-                    [decompose(schema, t).component(i) for t in all_predicted],
-                )
-            credit = partial_credit(all_gold, all_predicted, schema)
+            level_accuracies["L2"] = pooled
+            matches = _component_matches(all_gold, all_predicted, schema)
+            for i, count in enumerate(matches):
+                component_accuracies["G%d" % i] = count / len(all_gold)
+            credit = sum(matches) / (4 * len(all_gold))
         else:
             audit.append("schema scoring skipped: tags outside the inventory")
-    from .tagschema import format_schema
-    from .templates import template_hash
-
     schema_hash = template_hash(format_schema(schema)) if schema is not None else ""
     return EvalReport(
         pipeline_id=spec.id,
@@ -255,7 +244,7 @@ def cross_validate(
         fold_sizes=assignment.fold_sizes,
         fold_accuracies=tuple(fold_accuracies),
         mean_accuracy=sum(fold_accuracies) / len(fold_accuracies),
-        pooled_accuracy=token_accuracy(all_gold, all_predicted),
+        pooled_accuracy=pooled,
         level_accuracies=level_accuracies,
         component_accuracies=component_accuracies,
         partial_credit_score=credit,

@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 
+from .corpus import read_text
 from .crf import LinearChainModel
 from .errors import ModelFormatError
 from .templates import (
@@ -185,5 +186,4 @@ def save_model(model: LinearChainModel, path) -> None:
 
 
 def load_model(path) -> LinearChainModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return parse_model(read_text(path, "model"))

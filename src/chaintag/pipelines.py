@@ -40,12 +40,7 @@ from .crf import (
     tag,
     train,
 )
-from .errors import (
-    NoValidTupleError,
-    PipelineConfigError,
-    UndecomposableTagError,
-    UnknownTagError,
-)
+from .errors import NoValidTupleError, PipelineConfigError
 from .evaluation import kfold_split
 from .morphology import RECIPES, FeatureRecipe, materialize_recipe, parse_recipe
 from .tagschema import (
@@ -90,12 +85,16 @@ class PipelineSpec:
                 raise PipelineConfigError(
                     "decomposed pipelines need recombination crf or rules"
                 )
-            if self.recombination == "crf" and self.recombiner_recipe is None:
-                raise PipelineConfigError("crf recombination needs a recipe")
         elif self.recombination is not None:
             raise PipelineConfigError(
                 "recombination only applies to decomposed pipelines"
             )
+        # the fields that only some strategies read
+        if (self.recombination == "crf") != (self.recombiner_recipe is not None):
+            raise PipelineConfigError("crf recombination, and only it, takes a recipe")
+        if self.target != "L2" and self.strategy != "direct":
+            raise PipelineConfigError(
+                "target %s only applies to direct pipelines" % self.target)
         if self.jackknife_folds < 2:
             raise PipelineConfigError("jackknife needs at least 2 folds")
         # the spec file format strips values and ends them at line breaks
@@ -103,15 +102,18 @@ class PipelineSpec:
             raise PipelineConfigError("unusable label column %r" % self.label_column)
         # a spec file names a pipeline by its id, which fixes these fields
         if self.id != "custom":
-            if self.id not in _NAMED:
-                raise PipelineConfigError(
-                    "unknown pipeline %r (have %s)"
-                    % (self.id, ", ".join(sorted(_NAMED)))
-                )
-            for key, value in zip(_FIXED, _NAMED[self.id]):
+            for key, value in zip(_FIXED, _fixed_by(self.id)):
                 if getattr(self, key) != value:
                     raise PipelineConfigError("%r is fixed to %r by pipeline %s" % (
                         key, getattr(value, "text", value), self.id))
+
+
+def _fixed_by(pipeline_id: str) -> tuple:
+    """The values a named pipeline fixes, in the order of _FIXED."""
+    if pipeline_id not in _NAMED:
+        raise PipelineConfigError("unknown pipeline %r (have %s)"
+                                  % (pipeline_id, ", ".join(sorted(_NAMED))))
+    return _NAMED[pipeline_id]
 
 
 # The fields each named pipeline fixes, in the order of _FIXED.
@@ -135,13 +137,8 @@ NAMED_PIPELINES = {_id: PipelineSpec(_id, *fields) for _id, fields in _NAMED.ite
 
 
 def named_pipeline(pipeline_id: str, **overrides) -> PipelineSpec:
-    try:
-        spec = NAMED_PIPELINES[pipeline_id]
-    except KeyError:
-        raise PipelineConfigError(
-            "unknown pipeline %r (have %s)"
-            % (pipeline_id, ", ".join(sorted(NAMED_PIPELINES)))
-        ) from None
+    _fixed_by(pipeline_id)  # refuses an unknown id
+    spec = NAMED_PIPELINES[pipeline_id]
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -237,12 +234,7 @@ def _component_gold(
 ) -> list[list[str]]:
     columns: list[list[str]] = [[], [], [], []]
     for t in tags:
-        try:
-            ct = decompose(schema, t)
-        except UnknownTagError:
-            raise UndecomposableTagError(
-                "training tag %r has no decomposition in the schema" % t
-            ) from None
+        ct = decompose(schema, t)
         for k in range(4):
             columns[k].append(symbol_to_text(ct.component(k)))
     return columns

@@ -16,11 +16,12 @@ are pure; a parsed schema is immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import read_text
 from .errors import (
     DanglingParentError,
     DuplicateTagError,
@@ -28,6 +29,7 @@ from .errors import (
     NonInjectiveDecompositionError,
     NoValidTupleError,
     SchemaError,
+    UndecomposableTagError,
     UnknownComponentSymbolError,
     UnknownTagError,
 )
@@ -123,7 +125,8 @@ class TagSchema:
 
     @cached_property
     def _tag_of_tuple(self) -> dict[tuple[str, str, str, str], str]:
-        return {ct.astuple: tag for tag, ct in self.decomposition.items()}
+        """The first tag, in declaration order, of each component tuple."""
+        return {ct.astuple: tag for tag, ct in reversed(self.decomposition.items())}
 
     @cached_property
     def _valid_inventory(self) -> tuple[tuple[str, tuple[str, str, str, str]], ...]:
@@ -184,7 +187,6 @@ def parse_schema(text: str) -> TagSchema:
     l1_parent: dict[str, str] = {}
     l2_parent: dict[str, str] = {}
     decomposition: dict[str, ComponentTag] = {}
-    rules: list[CompositionRule] = []
     rule_lines: list[tuple[int, frozenset[str], tuple[RuleClause, ...]]] = []
     order_lines: list[tuple[int, str, tuple[int, ...]]] = []
     section = None
@@ -255,18 +257,17 @@ def parse_schema(text: str) -> TagSchema:
             raise DanglingParentError(
                 "L2 tag %r has unknown L1 parent %r" % (tag, l2_parent[tag])
             )
-    seen: dict[tuple[str, str, str, str], str] = {}
+    schema = TagSchema(tuple(l0), tuple(l1), tuple(l2), l1_parent, l2_parent,
+                       decomposition)
     for tag, ct in decomposition.items():
-        if ct.astuple in seen:
+        first = schema._tag_of_tuple[ct.astuple]
+        if first != tag:
             raise NonInjectiveDecompositionError(
-                "tags %r and %r share the tuple %r" % (seen[ct.astuple], tag, ct.astuple)
+                "tags %r and %r share the tuple %r" % (first, tag, ct.astuple)
             )
-        seen[ct.astuple] = tag
 
-    alphabets = [
-        {ct.component(k) for ct in decomposition.values()} | ({EPS} if k else set())
-        for k in range(4)
-    ]
+    alphabets = [schema.components(k) for k in range(4)]
+    rules: list[CompositionRule] = []
     render_order: dict[str, tuple[int, ...]] = {}
     for lineno, g0, order in order_lines:
         if g0 not in alphabets[0]:
@@ -291,11 +292,7 @@ def parse_schema(text: str) -> TagSchema:
                     )
         rules.append(CompositionRule(guard, clauses))
 
-    schema = TagSchema(
-        tuple(l0), tuple(l1), tuple(l2),
-        l1_parent, l2_parent, decomposition,
-        tuple(rules), render_order,
-    )
+    schema = replace(schema, rules=tuple(rules), render_order=render_order)
     for tag, ct in decomposition.items():
         rendered = render_tag(schema, ct)
         if rendered != tag:
@@ -336,8 +333,7 @@ def format_schema(schema: TagSchema) -> str:
 
 
 def load_schema(path) -> TagSchema:
-    with open(path, encoding="utf-8") as fh:
-        return parse_schema(fh.read())
+    return parse_schema(read_text(path, "schema"))
 
 
 @lru_cache(maxsize=1)
@@ -368,7 +364,8 @@ def decompose(schema: TagSchema, tag: str) -> ComponentTag:
     try:
         return schema.decomposition[tag]
     except KeyError:
-        raise UnknownTagError("unknown L2 tag %r" % tag) from None
+        raise UndecomposableTagError(
+            "tag %r has no decomposition in the schema" % tag) from None
 
 
 def validate_combination(schema: TagSchema, tag: ComponentTag) -> bool:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +105,17 @@ def test_roundtrip_with_provenance():
     assert parse_corpus(write_corpus(c), S3) == c
 
 
+def test_first_token_starting_with_hash_reads_back():
+    c = parse_corpus("a\tA\n\n#b\tB\n", ColumnSchema(("mot", "tag")))
+    assert c.columns[0] == ("a", "#b") and c.provenance == ""
+    swapped = select_sentences(c, [1, 0])
+    assert write_corpus(swapped) == "\n#b\tB\n\na\tA\n"
+    assert parse_corpus(write_corpus(swapped), c.schema) == swapped
+    kept = replace(swapped, provenance="kept")
+    assert write_corpus(kept) == "# kept\n\n#b\tB\n\na\tA\n"
+    assert parse_corpus(write_corpus(kept), c.schema) == kept
+
+
 def test_empty_sentence_cannot_be_constructed():
     with pytest.raises(CorpusFormatError):
         Corpus((("a",), ("b",), ("X",)), (1, 0), S3)
@@ -162,10 +175,11 @@ def test_select_sentences_preserves_order():
     assert sub.columns[0] == ("c", "a")
 
 
-# '#' is reserved for header lines, TAB/newline are structural; cells are
-# NFC-normalized at parse time, so generate NFC-stable material.
+# TAB/newline are structural; a cell may start with '#', which reads as a
+# header line unless a blank line ends the header.  Cells are NFC-normalized
+# at parse time, so generate NFC-stable material.
 _cell = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzéèàùçœ '-",
+    alphabet="abcdefghijklmnopqrstuvwxyzéèàùçœ '-#",
     min_size=1,
     max_size=8,
 ).map(lambda s: s.strip() or "x")
@@ -241,6 +255,8 @@ def test_views_match_a_row_wise_reference(table, data):
     )
 
     text = "\n\n".join("\n".join("\t".join(r) for r in s) for s in sentences)
+    if sentences[0][0][0].startswith("#"):  # a blank line ends the header
+        text = "\n" + text
     assert write_corpus(c) == text + "\n"
     assert parse_corpus(text, schema) == c
 

@@ -175,6 +175,20 @@ def test_cross_validate_report_fields():
     assert any("stripped before tagging" in line for line in report.audit)
 
 
+def test_cross_validate_skips_schema_scoring_for_tags_outside_the_inventory():
+    corpus = parse_corpus("\n\n".join(
+        (SENTENCE_A, SENTENCE_B, "hop\thop\tXXX") * 4), SCHEMA3)
+    report = cross_validate(fast_spec(), corpus, k=2, seed=7,
+                            schema=bundled_schema())
+    assert report.audit[-1] == "schema scoring skipped: tags outside the inventory"
+    assert report.level_accuracies == {} and report.component_accuracies == {}
+    assert report.partial_credit_score is None
+    assert report.schema_hash  # the schema is still named
+    text = format_report(report)
+    assert "L0-accuracy" not in text and "partial-credit" not in text
+    assert "audit\tschema scoring skipped" in text
+
+
 def test_cross_validate_resolved_spec_round_trips():
     report = cross_validate(fast_spec(), cv_corpus(), k=2, seed=7)
     assert parse_pipeline_spec(report.resolved_spec) == fast_spec()

@@ -238,16 +238,13 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     assert np.array_equal(enc.empirical, empirical)
     assert np.array_equal(enc.transitions.toarray(), transitions)
     assert edge_classes(enc) == edges
-    assert enc.bounds == [
-        (sum(corpus.lengths[:i]), sum(corpus.lengths[: i + 1]))
-        for i in range(corpus.n_sentences)
-    ]
 
     model = train(corpus, templates, TrainingConfig(max_iterations=0, cutoff=cutoff))
     assert model.dictionary == d
     rng = np.random.default_rng(seed)
     model = replace(model, weights=rng.integers(-2, 3, d.n_weights).astype(float))
     nodes = marginals(model, corpus)
+    assert len(nodes) == len(tag(model, corpus)) == corpus.n_sentences
     for i, (rows, labels, node) in enumerate(
             zip(sentences_of(corpus), tag(model, corpus), nodes)):
         lattice = ref_lattice(model, rows)

@@ -19,7 +19,12 @@ from chaintag.corpus import (
     select_columns,
 )
 from chaintag.crf import LinearChainModel, TrainingConfig, tag, train
-from chaintag.errors import CorpusFormatError, EmptyCorpusError, ModelFormatError
+from chaintag.errors import (
+    CorpusFormatError,
+    EmptyCorpusError,
+    EncodingError,
+    ModelFormatError,
+)
 from chaintag.model_io import (
     format_model,
     load_model,
@@ -262,6 +267,28 @@ class TestValidation:
     def test_empty_text_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_model("")
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"^cutoff\t.*\n", "", "expected 'cutoff' line at line 7"),
+        (r"^iterations\t.*$", "iterations\tmany", "bad header number"),
+        (r"^\[bigrams\]$", "[bigrams]\n[unigrams]", "duplicate section \\[unigrams\\]"),
+        (r"^\[templates\]$", "stray\n[templates]", "line 9 outside any section"),
+        (r"^\[unigrams\]$", "[unigrams]\nno-count", "bad feature line 'no-count'"),
+        (r"^\[bigrams\]$", "[bigrams]\nB:x\tmany", "bad feature line"),
+    ], ids=["missing header line", "bad header number", "duplicate section",
+            "line outside any section", "feature line without a count",
+            "feature count not a number"])
+    def test_malformed_head_rejected(self, model, pattern, replacement, message):
+        text = re.sub(pattern, replacement, format_model(model), count=1, flags=re.M)
+        with pytest.raises(ModelFormatError, match=message):
+            parse_model(text)
+
+    def test_non_utf8_file_names_itself(self, model, tmp_path):
+        path = tmp_path / "latin1.model"
+        text = format_model(model).replace("le\t", "l\xe9\t", 1)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(EncodingError, match="latin1.model"):
+            load_model(path)
 
     # A missing weight and a non-number: the two tests above.
     @pytest.mark.parametrize("edit", [

@@ -158,7 +158,8 @@ def test_direct_templates_cannot_touch_the_label():
     res = run_pipeline(named_pipeline("IVbis", config=FAST), train_c, test_c)
     model = res.models["L2"]
     n_observation_columns = len(named_pipeline("IVbis").recipe.column_names)
-    assert model.max_macro_column == n_observation_columns - 1
+    assert max(m.col for t in model.templates for m in t.macros) == (
+        n_observation_columns - 1)
 
 
 def test_direct_needs_the_lemma_column_when_the_recipe_does():
@@ -441,6 +442,27 @@ def test_spec_file_errors():
         parse_pipeline_spec("[pipeline]\nid = I\n[training]\nsigma = huge\n")
     with pytest.raises(PipelineConfigError):
         parse_pipeline_spec("not an ini file")
+
+
+def test_spec_fields_the_strategy_ignores_are_refused():
+    recipe = parse_recipe("mot")
+    for strategy in ("cascade", "decomposed"):
+        with pytest.raises(PipelineConfigError, match="target L0"):
+            PipelineSpec("custom", strategy, recipe, target="L0",
+                         recombination="rules" if strategy == "decomposed" else None)
+    with pytest.raises(PipelineConfigError, match="recipe"):
+        PipelineSpec("custom", "decomposed", recipe, recombination="rules",
+                     recombiner_recipe=recipe)
+    with pytest.raises(PipelineConfigError, match="recipe"):
+        PipelineSpec("custom", "direct", recipe, recombiner_recipe=recipe)
+    assert PipelineSpec("custom", "direct", recipe, target="L0").target == "L0"
+    for text in ("strategy = cascade\nrecipe = mot\ntarget = L1\n",
+                 "id = V\ntarget = L0\n",
+                 "strategy = decomposed\nrecipe = mot\nrecombination = rules\n"
+                 "recombiner_recipe = mot\n",
+                 "id = VIII\nrecombiner_recipe = mot\n"):
+        with pytest.raises(PipelineConfigError):
+            parse_pipeline_spec("[pipeline]\n" + text)
 
 
 def test_spec_file_accepts_matching_fixed_keys():

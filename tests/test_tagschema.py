@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from chaintag.errors import (
     DanglingParentError,
     DuplicateTagError,
+    EncodingError,
     InvalidCombinationError,
     NonInjectiveDecompositionError,
     NoValidTupleError,
@@ -25,6 +26,7 @@ from chaintag.tagschema import (
     bundled_schema,
     decompose,
     format_schema,
+    load_schema,
     parse_schema,
     project_tag,
     recombine,
@@ -305,6 +307,17 @@ class TestParsing:
         text = TOY + "NSF\tNS\tN\tF\tS\tEPS\n"
         with pytest.raises((NonInjectiveDecompositionError, SchemaError)):
             parse_schema(text)
+        crossed = "".join("%s\tNS\tN\t%s\tS\tEPS\n" % pair for pair in (
+            ("A", "F"), ("B", "M"), ("C", "M"), ("D", "F")))
+        with pytest.raises(NonInjectiveDecompositionError,
+                           match="tags 'B' and 'C' share"):
+            parse_schema(TOY.split("[L2]")[0] + "[L2]\n" + crossed)
+
+    def test_non_utf8_file_names_itself(self, tmp_path):
+        path = tmp_path / "latin1.schema"
+        path.write_bytes(TOY.replace("NFS", "N\xc9S").encode("latin-1"))
+        with pytest.raises(EncodingError, match="latin1.schema"):
+            load_schema(path)
 
     def test_rendered_string_must_match_tag(self):
         with pytest.raises(SchemaError):
