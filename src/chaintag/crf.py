@@ -43,15 +43,19 @@ tests are L-BFGS-B's.  Training is deterministic for fixed inputs, and
 the model keeps the objective trace, the number of objective calls and
 the optimizer's stop reason.
 
-Training starts at zero weights, and the unigram block of the gradient
-is A'(gold - node marginals - Z / sigma^2) when the unigram weights are
-A'Z, A being the activations (tokens x unigram strings).  So every
-iterate's unigram block is A'Z for some Z (tokens x labels), the
-representer theorem's form.  When a corpus has fewer tokens than
-unigram strings, L-BFGS runs on Z and the bigram weights, under the
-inner product of the weights they stand for (``minimize``'s basis): the
-same iterates, with a history of tokens x labels numbers per step
-instead of strings x labels.
+The data term of the log-likelihood is read off the scores: each
+token's unary score at its gold label, plus each class's gold label-pair
+counts times its matrix.  Its gradient is gold minus expected
+statistics: A'R with R = onehot(gold) - node marginals per token, A the
+activations (tokens x unigram strings), and T'(gold - expected pair
+counts per class), T the classes' bigram strings.  Training starts at
+zero weights, and the prior adds -A'Z / sigma^2 to A'R when the unigram
+weights are A'Z, so every iterate's unigram block is A'Z for some Z
+(tokens x labels), the representer theorem's form.  When a corpus has
+fewer tokens than unigram strings, L-BFGS runs on Z and the bigram
+weights, under the inner product of the weights they stand for
+(``minimize``'s basis): the same iterates, with a history of tokens x
+labels numbers per step instead of strings x labels.
 """
 
 from __future__ import annotations
@@ -213,8 +217,8 @@ class _Encoded:
     classes: np.ndarray  # transition class of each edge
     activations: sparse.csr_matrix  # rows x unigram strings
     transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
-    empirical: np.ndarray | None  # gold feature counts, when labeled
     gold: np.ndarray | None  # the gold label of each row, when labeled
+    gold_pairs: np.ndarray | None  # classes x L x L gold edge counts, when labeled
     n_labels: int
 
     def __post_init__(self):
@@ -239,14 +243,13 @@ def _encode(
     label_column: int | None = None,
     index: FeatureIndex | None = None,
 ) -> _Encoded:
-    """Fold a corpus into index space; gold feature counts are taken only
-    when a label column is given.  Only the distinct expanded strings are
-    looked up in the dictionary; transition classes are numbered in order
-    of first occurrence in the corpus."""
+    """Fold a corpus into index space; gold labels and each class's gold
+    label-pair counts are taken only when a label column is given.  Only
+    the distinct expanded strings are looked up in the dictionary;
+    transition classes are numbered in order of first occurrence."""
     if index is None:
         index = index_features(corpus, templates)
     L = dictionary.n_labels
-    n_uni = len(dictionary.uni_strings)
     n_tokens = corpus.n_tokens
     lengths = np.asarray(corpus.lengths, dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
@@ -261,13 +264,14 @@ def _encode(
     )
     order = np.argsort(first)
     rank = np.argsort(order)
+    edge_classes = rank[inverse.ravel()]  # in corpus edge order
     class_rows = unique[order]
     members, member_slots = np.nonzero(class_rows >= 0)
     transitions = sparse.csr_matrix(
         (np.ones(len(members)), (members, class_rows[members, member_slots])),
         shape=(len(class_rows), len(dictionary.bi_strings)),
     )
-    y = empirical = None
+    y = gold_pairs = None
     if label_column is not None:
         labels = corpus.columns[label_column]
         y = list(map(dictionary.label_index, labels))
@@ -277,17 +281,8 @@ def _encode(
             )
         y = np.asarray(y, dtype=np.intp)
         right = np.delete(np.arange(n_tokens), starts)  # token ending each edge
-        edges, edge_slots = np.nonzero(bi >= 0)
-        hits = np.concatenate([
-            uni_rows * L + y[tokens],
-            n_uni * L + bi[edges, edge_slots] * (L * L)
-            + y[right[edges] - 1] * L + y[right[edges]],
-        ])
-        # float counts straight away: an integer count array as long as
-        # the weights, then copied, would double this peak
-        empirical = np.bincount(
-            hits, weights=np.ones(len(hits)), minlength=dictionary.n_weights
-        )
+        gold_pairs = np.bincount((edge_classes * L + y[right - 1]) * L + y[right],
+                                 minlength=len(class_rows) * L * L).reshape(-1, L, L)
     # the packed layout, a group starting every _GROUP_CELL_CAP cells of
     # sorted tokens: row r of a group is token step[r] of sentence group[row[r]]
     by_length = np.argsort(-lengths, kind="stable")
@@ -305,12 +300,10 @@ def _encode(
     packed = np.concatenate(packed)
     position = np.empty(n_tokens, dtype=np.intp)
     position[packed] = np.arange(n_tokens)
-    activations = sparse.csr_matrix(
-        (np.ones(len(tokens)), (position[tokens], uni_rows)), shape=(n_tokens, n_uni)
-    )
-    return _Encoded(packed, groups, rank[inverse.ravel()][
-        np.concatenate(edge)], activations, transitions, empirical,
-        None if y is None else y[packed], L)
+    activations = sparse.csr_matrix((np.ones(len(tokens)), (position[tokens], uni_rows)),
+                                    shape=(n_tokens, len(dictionary.uni_strings)))
+    return _Encoded(packed, groups, edge_classes[np.concatenate(edge)], activations,
+                    transitions, None if y is None else y[packed], gold_pairs, L)
 
 
 # Cap on the cells (tokens x labels) of one group of the packed layout
@@ -438,17 +431,16 @@ def _scores(weights: np.ndarray, enc: _Encoded):
     return enc.activations @ w_uni, (enc.transitions @ w_bi).reshape(-1, L, L)
 
 
-def _expectations(weights: np.ndarray, enc: _Encoded):
+def _expectations(unary: np.ndarray, P: np.ndarray, enc: _Encoded):
     """Summed log Z, node marginals (rows x L, in the packed layout) and
-    expected label-pair counts per bigram string (strings x L x L) at the
-    given weights."""
-    unary, P = _scores(weights, enc)
+    expected label-pair counts per class (classes x L x L) at the given
+    scores (see _scores)."""
     log_z, node, per_class = 0.0, np.empty_like(unary), np.zeros(P.shape)
     for rows, edges, sizes in enc.spans:
         z, node[rows], expected = _forward_backward(unary[rows], P, enc.classes[edges], sizes)
         log_z += z
         per_class += expected
-    return log_z, node, enc.transitions_T @ per_class.reshape(len(P), enc.n_labels**2)
+    return log_z, node, per_class
 
 
 # Cap on the cells of one Viterbi step's (rows, L, L) score tensor: the
@@ -489,9 +481,8 @@ def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.nda
     return path
 
 
-def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
-    """The Viterbi label of every token, in corpus order."""
-    unary, P = _scores(weights, enc)
+def _best_paths(unary: np.ndarray, P: np.ndarray, enc: _Encoded) -> np.ndarray:
+    """The Viterbi label of every token, in corpus order, at the given scores."""
     path = np.empty(len(unary), dtype=np.intp)
     for rows, edges, sizes in enc.spans:
         path[rows] = _viterbi(unary[rows], P, enc.classes[edges], sizes)
@@ -501,27 +492,22 @@ def _best_paths(weights: np.ndarray, enc: _Encoded) -> np.ndarray:
 def _objective(x: np.ndarray, enc: _Encoded, sigma: float, basis=None):
     """Regularized log-likelihood and its gradient over the whole corpus,
     at weights x, or at weights basis.matvec(x) with the gradient in token
-    coordinates when basis is _TokenBasis(enc)."""
+    coordinates when basis is _TokenBasis(enc) (see the module docstring)."""
     weights = x if basis is None else basis.matvec(x)
-    log_z, node, expected_bi = _expectations(weights, enc)
+    unary, P = _scores(weights, enc)
+    log_z, node, expected = _expectations(unary, P, enc)
+    rows = np.arange(len(node))
     # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
     # several threads that then spin, slowing the optimizer's work between
     # calls (on two cores, pipeline VIII's training took ~1.8x as long).
-    value = float(np.einsum("i,i->", enc.empirical, weights)) - log_z
-    value -= float(np.einsum("i,i->", weights, weights)) / (2.0 * sigma * sigma)
-    if basis is None:
-        expected = np.concatenate(
-            [(enc.activations_T @ node).ravel(), expected_bi.ravel()]
-        )
-        gradient = enc.empirical - expected - weights / (sigma * sigma)
-    else:
-        # the unigram gradient is A'(gold - node - Z / sigma^2), A the
-        # activations: its coordinates are the rows in parentheses
-        node *= -1.0
-        node[np.arange(len(node)), enc.gold] += 1.0
-        bigram = enc.empirical[enc.activations.shape[1] * enc.n_labels :]
-        gradient = np.concatenate([node.ravel(), bigram - expected_bi.ravel()])
-        gradient -= x / (sigma * sigma)
+    value = float(unary[rows, enc.gold].sum() + np.einsum("kij,kij->", enc.gold_pairs, P)
+                  - log_z - np.einsum("i,i->", weights, weights) / (2.0 * sigma * sigma))
+    node *= -1.0
+    node[rows, enc.gold] += 1.0  # R = onehot(gold) - node
+    pairs = (enc.gold_pairs - expected).reshape(len(P), enc.n_labels**2)
+    unigram = node if basis is not None else enc.activations_T @ node
+    gradient = np.concatenate([unigram.ravel(), (enc.transitions_T @ pairs).ravel()])
+    gradient -= x / (sigma * sigma)
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
         raise NonFiniteObjectiveError("objective or gradient not finite")
     return value, gradient
@@ -538,7 +524,7 @@ class _TokenBasis:
     @property
     def shape(self) -> tuple[int, int]:
         rows, n_uni = self.enc.activations.shape
-        n_bi = self.enc.empirical.size - n_uni * self.enc.n_labels
+        n_bi = self.enc.transitions.shape[1] * self.enc.n_labels**2
         return n_uni * self.enc.n_labels + n_bi, rows * self.enc.n_labels + n_bi
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -556,7 +542,8 @@ class _TokenBasis:
 
 def objective_and_gradient(model: LinearChainModel, data: Corpus, sigma: float):
     """Value and gradient at the model's current weights on data labeled
-    in its last column."""
+    in its last column.  sigma must be one TrainingConfig accepts."""
+    TrainingConfig(sigma=sigma)
     enc = _encode(data, model.templates, model.dictionary, data.schema.width - 1)
     return _objective(model.weights, enc, sigma)
 
@@ -768,20 +755,22 @@ def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
     """Viterbi labels per sentence; unknown words fall back to whatever
     transition and boundary features say."""
     enc = _encode(corpus, model.templates, model.dictionary)
-    labels = np.array(model.labels, dtype=object)[_best_paths(model.weights, enc)]
+    best = _best_paths(*_scores(model.weights, enc), enc)
+    labels = np.array(model.labels, dtype=object)[best]
     return [labels[start:end].tolist() for start, end in corpus.bounds]
 
 
 def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels)."""
     enc = _encode(corpus, model.templates, model.dictionary)
-    node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
+    node = enc.in_corpus_order(_expectations(*_scores(model.weights, enc), enc)[1])
     return [node[start:end] for start, end in corpus.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
     enc = _encode(corpus, model.templates, model.dictionary)
-    node = enc.in_corpus_order(_expectations(model.weights, enc)[1])
-    best = node[np.arange(len(node)), _best_paths(model.weights, enc)]
+    unary, P = _scores(model.weights, enc)
+    node = enc.in_corpus_order(_expectations(unary, P, enc)[1])
+    best = node[np.arange(len(node)), _best_paths(unary, P, enc)]
     return [best[start:end].tolist() for start, end in corpus.bounds]

@@ -39,6 +39,7 @@ from chaintag.errors import (
     ColumnMismatchError,
     EmptyTrainingSetError,
     LengthMismatchError,
+    TrainingConfigError,
     UnknownLabelError,
 )
 from chaintag.templates import active_features, default_templates, parse_templates
@@ -455,7 +456,8 @@ class TestPackedKernel:
             enc = crf._encode(corpus, model.templates, d, 1)
             with patch.object(crf, "_log_forward_backward",
                               wraps=crf._log_forward_backward) as log_path:
-                log_z, node, expected = crf._expectations(weights, enc)
+                log_z, node, per_class = crf._expectations(*crf._scores(weights, enc), enc)
+            expected = enc.transitions.T @ per_class.reshape(len(per_class), L * L)
             assert log_path.called == (scale == 1e3 and L > 1)
             # a group starts at each sorted sentence that starts past a
             # multiple of cap // L tokens
@@ -601,6 +603,55 @@ class TestObjective:
         other = corpus_of([[("sel", "NOPE")]])
         with pytest.raises(UnknownLabelError):
             objective_and_gradient(model, other, sigma=1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan, 1e-200])
+    def test_refuses_a_sigma_that_training_refuses(self, sigma):
+        model = small_model(OMELETTE)
+        with pytest.raises(TrainingConfigError):
+            objective_and_gradient(model, OMELETTE, sigma)
+
+    @given(st.integers(min_value=0, max_value=500))
+    @settings(max_examples=10, deadline=None)
+    def test_value_is_the_gold_paths_score_less_log_z(self, seed):
+        """Summed over sentences, with several transition classes and the
+        sentences cut into groups of at most three tokens."""
+        rng = np.random.default_rng(seed)
+        corpus = corpus_of([
+            [("le", "D"), ("sel", "N")],
+            [("la", "D"), ("mer", "N"), ("et", "C"), ("le", "D"), ("sel", "N")],
+            [("sel", "N")],
+            [("et", "C"), ("la", "D"), ("mer", "N")],
+        ])
+        model = small_model(corpus, "U00:%x[0,0]\nB\nB1:%x[-1,0]\n")
+        d = model.dictionary
+        weights = rng.normal(size=d.n_weights)
+        model = replace(model, weights=weights)
+        sigma = 2.0
+        with patch.object(crf, "_GROUP_CELL_CAP", 3 * d.n_labels):
+            enc = crf._encode(corpus, model.templates, d, 1)
+            assert len(enc.groups) > 1 and enc.transitions.shape[0] > 1
+            value, _ = objective_and_gradient(model, corpus, sigma)
+        expected = -float(weights @ weights) / (2 * sigma * sigma)
+        for sentence, labels in zip(sentences(corpus), corpus.sentence_column("tag")):
+            lattice = build_lattice(model, sentence)
+            y = [d.label_index(label) for label in labels]
+            expected += sequence_score(lattice, y) - forward_backward(lattice)[0]
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_token_coordinates_give_the_weight_coordinates_objective(self):
+        """At w = B z, value and gradient in token coordinates are those
+        in weight coordinates, the gradient mapped through B."""
+        corpus = paired_corpus()
+        model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
+        enc = crf._encode(corpus, model.templates, model.dictionary, 1)
+        basis = crf._TokenBasis(enc)
+        z = np.random.default_rng(7).normal(size=basis.shape[1])
+        value_z, gradient_z = crf._objective(z, enc, 3.0, basis)
+        value_w, gradient_w = crf._objective(basis.matvec(z), enc, 3.0)
+        assert gradient_w.size == basis.shape[0] == model.dictionary.n_weights
+        assert value_z == pytest.approx(value_w, rel=1e-12)
+        scale = np.abs(gradient_w).max()
+        assert np.abs(basis.matvec(gradient_z) - gradient_w).max() <= 1e-12 * scale
 
 
 SEPARABLE = corpus_of([

@@ -235,7 +235,12 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     packed, sizes = packed_layout(corpus)
     assert enc.packed.tolist() == packed and enc.groups == [sizes]
     assert np.array_equal(enc.activations.toarray(), activations[packed])
-    assert np.array_equal(enc.empirical, empirical)
+    onehot = np.eye(L)[enc.gold]
+    gold_counts = np.concatenate([
+        (enc.activations.T @ onehot).ravel(),
+        (enc.transitions.T @ enc.gold_pairs.reshape(len(classes), L * L)).ravel(),
+    ])
+    assert np.array_equal(gold_counts, empirical)
     assert np.array_equal(enc.transitions.toarray(), transitions)
     assert edge_classes(enc) == edges
 

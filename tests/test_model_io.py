@@ -51,14 +51,13 @@ def model():
 
 class TestByteIdentity:
     """Digests of version 2 model files trained with the packed
-    forward-backward.  Training from the same corpus and templates must
-    keep writing these exact bytes; a kernel that sums in another order
-    moves the weights in their last digits, and so these digests.  The toy
-    corpus has fewer tokens than unigram strings, so it trains on token
-    coordinates; the c10 stage has more, and trains on the weights.
-    Without their evaluations and stop lines and with version 1, the two
-    files hash to the version 1 digests pinned before (658116a8... and
-    cdb4b404...)."""
+    forward-backward and the objective read off the lattice scores (gold
+    label and label-pair statistics).  Training from the same corpus and
+    templates must keep writing these exact bytes; a kernel or objective
+    that sums in another order moves the weights in their last digits, and
+    so these digests.  The toy corpus has fewer tokens than unigram
+    strings, so it trains on token coordinates; the c10 stage has more,
+    and trains on the weights."""
 
     @staticmethod
     def digest(model, tmp_path):
@@ -73,7 +72,7 @@ class TestByteIdentity:
         toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
         model = train(toy, parse_templates(default_templates(range(2))))
         assert self.digest(model, tmp_path) == (
-            "874ae0f02d0ffba8e6739f76753cbfaf50ad0bcf8b8a96e9bd2dbb8d26091927"
+            "bbcf2117ba65639c897066b9e7c1b39d62336f35d1365b6f16b1b0210864c2fe"
         )
 
     def test_first_cascade_stage_on_the_c10_corpus(self, tmp_path):
@@ -91,7 +90,7 @@ class TestByteIdentity:
             TrainingConfig(sigma=10.0, max_iterations=80, tolerance=1e-6),
         )
         assert self.digest(model, tmp_path) == (
-            "5f9e075cf467f3caa33b19b9817ca819d184a440305513e75f12c8bc92262afe"
+            "4dda491db9e32056cbe452f6a0c26e0e2dad224d27e61bb66eaeaa2ad3a1fb26"
         )
 
 
