@@ -84,7 +84,7 @@ from .templates import (  # noqa: F401 (bench/run.py traces crf.active_features)
     FeatureTemplate,
     active_features,
     build_dictionary,
-    index_features,
+    fitting_index,
 )
 
 
@@ -246,9 +246,9 @@ def _encode(
     """Fold a corpus into index space; gold labels and each class's gold
     label-pair counts are taken only when a label column is given.  Only
     the distinct expanded strings are looked up in the dictionary;
-    transition classes are numbered in order of first occurrence."""
-    if index is None:
-        index = index_features(corpus, templates)
+    transition classes are numbered in order of first occurrence.  A
+    given index must fit the corpus and templates (see fitting_index)."""
+    index = fitting_index(corpus, templates, index)
     L = dictionary.n_labels
     n_tokens = corpus.n_tokens
     lengths = np.asarray(corpus.lengths, dtype=np.intp)
@@ -332,14 +332,18 @@ def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes):
     counts of each class, summed over its edges (K, L, L).
     """
     n, L = U.shape
-    u_max = U.max(axis=1, keepdims=True)
-    p_max = P.max(axis=(1, 2), keepdims=True)
-    spread = ((u_max - U.min(axis=1, keepdims=True)).max(initial=0.0)
-              + (p_max - P.min(axis=(1, 2), keepdims=True)).max(initial=0.0))
+    # numpy reduces a short trailing axis one row at a time, so the row
+    # extremes come from one transposed copy
+    columns = np.ascontiguousarray(U.T)
+    u_max = columns.max(axis=0)
+    p_max = P.max(axis=(1, 2))
+    spread = ((u_max - columns.min(axis=0)).max(initial=0.0)
+              + (p_max - P.min(axis=(1, 2))).max(initial=0.0))
+    del columns
     if not spread + np.log(L) < _MAX_SPREAD:
         return _log_forward_backward(U, P, classes, sizes)
-    psi = np.exp(U - u_max)
-    E = np.exp(P - p_max)
+    psi = np.exp(U - u_max[:, None])
+    E = np.exp(P - p_max[:, None, None])
     steps = _steps(sizes)
     first = sizes[0] if sizes else 0  # rows past it end an edge
     alpha = np.empty_like(psi)
@@ -353,18 +357,24 @@ def _forward_backward(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes):
         scale[lo:hi] = a.sum(axis=1)
         alpha[lo:hi] = a / scale[lo:hi, None]
     beta = np.ones_like(psi)  # 1 at the last token of each chain
-    left = np.empty((n - first, L))  # alpha where each edge starts
-    right = np.empty((n - first, L))  # psi * beta / scale where it ends
+    right = np.empty((n - first, L))  # psi * beta / scale where each edge ends
+    E_T = E.transpose(0, 2, 1)
     for t in range(len(steps) - 1, 0, -1):
         (lo, hi), before = steps[t], steps[t - 1][0]
-        edges = slice(lo - first, hi - first)
-        left[edges] = alpha[before : before + hi - lo]
-        right[edges] = psi[lo:hi] * beta[lo:hi] / scale[lo:hi, None]
+        ending = right[lo - first : hi - first]
+        np.multiply(psi[lo:hi], beta[lo:hi], out=ending)
+        ending /= scale[lo:hi, None]
         beta[before : before + hi - lo] = _times(
-            right[edges], E.transpose(0, 2, 1), classes[edges])
-    log_z = np.log(scale).sum() + u_max.sum() + p_max.ravel()[classes].sum()
-    alpha *= beta  # the node marginals; left keeps the alphas the counts need
-    del psi, beta  # before the counts copy each class's edges
+            ending, E_T, classes[lo - first : hi - first])
+    del psi
+    # alpha where each edge starts: row r of step t follows row r - sizes[t - 1]
+    left = alpha[np.arange(first, n)
+                 - np.repeat(np.asarray(sizes[:-1], dtype=np.intp), sizes[1:])]
+    log_z = np.log(scale).sum() + u_max.sum() + p_max[classes].sum()
+    alpha *= beta  # the node marginals
+    del beta  # before the counts copy each class's edges
+    if len(P) == 1:
+        return log_z, alpha, E * (left.T @ right)
     expected = np.zeros(P.shape)
     for k in np.unique(classes):
         edges = classes == k
@@ -701,6 +711,7 @@ def train(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     config: TrainingConfig | None = None,
+    index: FeatureIndex | None = None,
 ) -> LinearChainModel:
     """Fit weights by L-BFGS on the exact batch objective.
 
@@ -708,6 +719,8 @@ def train(
     before it.  max_iterations=0 returns the zero-weight model.  The
     objective at the start and after every accepted step, the number of
     objective calls and the optimizer's stop reason are kept on the model.
+    An index of the corpus's observation columns under the templates
+    spares their expansion (see fitting_index).
     """
     config = config or TrainingConfig()
     if corpus.n_tokens == 0:
@@ -719,7 +732,7 @@ def train(
                 raise ColumnMismatchError(
                     "template %s reads the label column %d" % (t.id, m.col)
                 )
-    index = index_features(corpus, templates)
+    index = fitting_index(corpus, templates, index)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
     enc = _encode(corpus, templates, dictionary, column, index)
     # Fewer tokens than unigram strings: L-BFGS runs on token coordinates
@@ -751,18 +764,23 @@ def train(
     )
 
 
-def tag(model: LinearChainModel, corpus: Corpus) -> list[list[str]]:
+def tag(
+    model: LinearChainModel, corpus: Corpus, index: FeatureIndex | None = None
+) -> list[list[str]]:
     """Viterbi labels per sentence; unknown words fall back to whatever
-    transition and boundary features say."""
-    enc = _encode(corpus, model.templates, model.dictionary)
+    transition and boundary features say.  index is as for train."""
+    enc = _encode(corpus, model.templates, model.dictionary, index=index)
     best = _best_paths(*_scores(model.weights, enc), enc)
     labels = np.array(model.labels, dtype=object)[best]
     return [labels[start:end].tolist() for start, end in corpus.bounds]
 
 
-def marginals(model: LinearChainModel, corpus: Corpus) -> list[np.ndarray]:
-    """Per-sentence node-marginal matrices (positions x labels)."""
-    enc = _encode(corpus, model.templates, model.dictionary)
+def marginals(
+    model: LinearChainModel, corpus: Corpus, index: FeatureIndex | None = None
+) -> list[np.ndarray]:
+    """Per-sentence node-marginal matrices (positions x labels); index is
+    as for train."""
+    enc = _encode(corpus, model.templates, model.dictionary, index=index)
     node = enc.in_corpus_order(_expectations(*_scores(model.weights, enc), enc)[1])
     return [node[start:end] for start, end in corpus.bounds]
 

@@ -18,6 +18,12 @@ direct runs).  A result column that a later stage reads gets its
 training values from the spec's stage source: the gold labels, the
 stage's own predictions, or predictions jackknifed over internal folds
 (stacked sequential learning).
+
+Template expansion depends only on a view's observation columns, so
+stages with the same recipe and input columns share one feature index of
+the training view and one of the test view: the four components of a
+decomposed plan, which differ only in their gold labels, are expanded
+once per corpus.
 """
 
 from __future__ import annotations
@@ -51,7 +57,14 @@ from .tagschema import (
     symbol_to_text,
     text_to_symbol,
 )
-from .templates import default_templates, parse_templates, template_hash
+from .templates import (
+    FeatureIndex,
+    FeatureTemplate,
+    default_templates,
+    index_features,
+    parse_templates,
+    template_hash,
+)
 
 STRATEGIES = ("direct", "cascade", "decomposed")
 STAGE_SOURCES = ("jackknifed", "gold", "predicted")
@@ -186,14 +199,11 @@ def _flat(values_per_sentence: Sequence[Sequence[str]]) -> list[str]:
     return [v for sentence in values_per_sentence for v in sentence]
 
 
-def _train_stage(
-    view: Corpus, config: TrainingConfig
-) -> tuple[LinearChainModel, str]:
-    """Train on a view whose last column is the label; returns the model
-    and the hash of the generated template set."""
+def _stage_templates(view: Corpus) -> tuple[tuple[FeatureTemplate, ...], str]:
+    """The generated templates over the columns of a view whose last
+    column is the label, and the hash of their text."""
     text = default_templates(range(view.schema.width - 1))
-    model = train(view, parse_templates(text), config)
-    return model, template_hash(text)
+    return parse_templates(text), template_hash(text)
 
 
 def jackknife_stage_features(
@@ -207,10 +217,11 @@ def jackknife_stage_features(
         raise PipelineConfigError("jackknifing needs at least 2 sentences")
     label = view.schema.names[-1]
     assignment = kfold_split(view, k, seed)
+    templates, _ = _stage_templates(view)
     per_sentence: dict[int, list[str]] = {}
     for fold in range(k):
-        model, _ = _train_stage(
-            select_sentences(view, assignment.train_indices(fold)), config
+        model = train(
+            select_sentences(view, assignment.train_indices(fold)), templates, config
         )
         test_indices = assignment.test_indices(fold)
         held_out = select_columns(
@@ -287,15 +298,17 @@ def _repair_tags(
     schema: TagSchema,
     models: Mapping[str, LinearChainModel],
     test_view: Corpus,
+    test_index: FeatureIndex,
 ) -> list[str]:
     """Combine per-component node marginals into valid tags: each token
     takes the valid tag whose components' log-marginals sum highest, the
     first in tag order on a tie, as tagschema.repair picks for one token.
-    Tags with a component no model knows are never picked."""
+    Tags with a component no model knows are never picked.  The four
+    components share test_index, the test view's feature index."""
     components = [models["G%d" % k] for k in range(4)]
     scores = [np.log(np.maximum(np.concatenate(
-        [np.empty((0, len(m.labels)))] + marginals(m, test_view)), 1e-300))
-        for m in components]
+        [np.empty((0, len(m.labels)))] + marginals(m, test_view, index=test_index)),
+        1e-300)) for m in components]
     if not all(np.isfinite(s).all() for s in scores):
         raise NoValidTupleError("non-finite component score")
     index = [{text_to_symbol(label): i for i, label in enumerate(m.labels)}
@@ -329,6 +342,9 @@ def run_pipeline(
     test_results: dict[str, list[str]] = {}
     models: dict[str, LinearChainModel] = {}
     hashes: dict[str, str] = {}
+    # the training and test views' feature indexes, kept while consecutive
+    # stages read the same recipe and input columns
+    indexed, indexes = None, {}
     for stage in plan:
         if stage.recipe.text not in features:
             with _timed(timings, "features"):
@@ -340,12 +356,20 @@ def run_pipeline(
         train_base, test_base = features[stage.recipe.text]
         view = _view(train_base, [(c, stages[c].values) for c in stage.inputs]
                      + [(stage.column, stage.gold)])
+        if (stage.recipe.text, stage.inputs) != indexed:
+            indexed, indexes = (stage.recipe.text, stage.inputs), {}
         with _timed(timings, "train"):
-            model, hashes[stage.key] = _train_stage(view, spec.config)
+            templates, hashes[stage.key] = _stage_templates(view)
+            if "train" not in indexes:
+                indexes["train"] = index_features(view, templates)
+            model = train(view, templates, spec.config, index=indexes["train"])
         models[stage.key] = model
         test_view = _view(test_base, [(c, test_results[c]) for c in stage.inputs])
         with _timed(timings, "tag"):
-            test_results[stage.column] = _flat(tag(model, test_view))
+            if "test" not in indexes:
+                indexes["test"] = index_features(test_view, templates)
+            test_results[stage.column] = _flat(
+                tag(model, test_view, index=indexes["test"]))
         if stage.column not in read:
             continue
         with _timed(timings, "train"):
@@ -354,16 +378,16 @@ def run_pipeline(
                     stage.column, tuple(view.column(stage.column)), "gold")
             elif spec.stage_source == "predicted":
                 observed = select_columns(view, view.schema.names[:-1])
-                prediction = StagePrediction(
-                    stage.column, tuple(_flat(tag(model, observed))), "predicted")
+                prediction = StagePrediction(stage.column, tuple(_flat(
+                    tag(model, observed, index=indexes["train"]))), "predicted")
             else:
                 prediction = jackknife_stage_features(
                     view, spec.config, spec.jackknife_folds, spec.seed + len(stages))
         stages[stage.column] = prediction
-    if spec.recombination == "rules":
+    if spec.recombination == "rules":  # the plan is the four components
         with _timed(timings, "tag"):
             test_results["ResL2"] = _repair_tags(
-                schema, models, features[spec.recipe.text][1])
+                schema, models, features[spec.recipe.text][1], indexes["test"])
     out = test_corpus
     for column, values in test_results.items():
         out = append_column(out, column, values)

@@ -33,6 +33,7 @@ from .corpus import Corpus
 from .errors import (
     BadColumnError,
     DuplicateTemplateIdError,
+    LengthMismatchError,
     TemplateSyntaxError,
 )
 
@@ -239,6 +240,27 @@ def index_features(
     )
 
 
+def fitting_index(
+    corpus: Corpus,
+    templates: Sequence[FeatureTemplate],
+    index: FeatureIndex | None = None,
+) -> FeatureIndex:
+    """index_features(corpus, templates), or the given index, which must
+    have a row per token and per edge of the corpus and a column per U and
+    per B template: any index built from the corpus's observation columns
+    and the templates, such as one over another view of the same columns."""
+    if index is None:
+        return index_features(corpus, templates)
+    n_uni = sum(t.kind == "U" for t in templates)
+    shapes = ((corpus.n_tokens, n_uni),
+              (corpus.n_tokens - corpus.n_sentences, len(templates) - n_uni))
+    got = (index.uni_ids.shape, index.bi_ids.shape)
+    if got != shapes:
+        raise LengthMismatchError("feature index ids of shapes %s and %s, where the "
+                                  "corpus and templates need %s and %s" % (*got, *shapes))
+    return index
+
+
 def _lookup(strings: tuple[str, ...], ids: np.ndarray) -> list[list[str]]:
     return np.array(strings, dtype=object)[ids].tolist()
 
@@ -312,10 +334,10 @@ def build_dictionary(
 
     Label order and string order follow first occurrence, so the layout
     is a pure function of (corpus, templates, cutoff).  An index already
-    built from the corpus and templates spares a second expansion.
+    built from the corpus and templates spares a second expansion (see
+    fitting_index).
     """
-    if index is None:
-        index = index_features(corpus, templates)
+    index = fitting_index(corpus, templates, index)
     labels = dict.fromkeys(corpus.columns[label_column])
     uni_counts = np.bincount(index.uni_ids.ravel(), minlength=len(index.uni_strings))
     bi_counts = np.bincount(index.bi_ids.ravel(), minlength=len(index.bi_strings))

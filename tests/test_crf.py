@@ -499,6 +499,47 @@ class TestPackedKernel:
 # --- objective and training -------------------------------------------
 
 
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        n_labels=st.integers(1, 5),
+        n_classes=st.integers(2, 4),
+        by_step=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_class_is_that_class_repeated(
+        self, lengths, n_labels, n_classes, by_step, seed
+    ):
+        """The one-class branch against the general one: the same matrix
+        repeated as several classes, the edges spread over them step by
+        step or edge by edge.  The one class's counts are the classes'
+        counts summed, up to the order of that sum.  Spread step by step,
+        every step runs the same products in both, so log Z and the node
+        marginals are equal bit for bit; spread edge by edge, BLAS gets
+        other row counts, which may round differently."""
+        rng = np.random.default_rng(seed)
+        ordered = sorted(lengths, reverse=True)
+        sizes = [sum(T > t for T in ordered) for t in range(ordered[0])]
+        n, first = sum(lengths), sizes[0]
+        U = 3.0 * rng.normal(size=(n, n_labels))
+        P = rng.normal(size=(1, n_labels, n_labels))
+        if by_step:
+            spread = np.repeat(rng.integers(n_classes, size=len(sizes) - 1), sizes[1:])
+        else:
+            spread = rng.integers(n_classes, size=n - first)
+        log_z, node, counts = crf._forward_backward(
+            U, P, np.zeros(n - first, dtype=np.intp), sizes)
+        many_z, many_node, many_counts = crf._forward_backward(
+            U, np.repeat(P, n_classes, axis=0), spread, sizes)
+        if by_step:
+            assert log_z == many_z and np.array_equal(node, many_node)
+        else:
+            assert log_z == pytest.approx(many_z, rel=1e-12)
+            assert np.allclose(node, many_node, rtol=1e-12, atol=0)
+        assert counts.shape == (1, n_labels, n_labels)
+        assert np.allclose(counts[0], many_counts.sum(axis=0), rtol=1e-12, atol=0)
+
+
 def small_model(corpus, template_text="U00:%x[0,0]\nB\n", **hyper):
     templates = parse_templates(template_text)
     return train(corpus, templates, TrainingConfig(max_iterations=0, **hyper))

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
-from chaintag.corpus import ColumnSchema, Corpus, select_sentences
+from chaintag.corpus import ColumnSchema, Corpus, select_columns, select_sentences
+from chaintag.errors import LengthMismatchError
 from chaintag.crf import Lattice, TrainingConfig, marginals, sequence_score, tag, train
 from chaintag.templates import (
     FeatureTemplate,
@@ -329,3 +330,33 @@ def test_an_empty_run_of_sentences_has_no_strings():
         assert index.uni_strings == () and index.bi_strings == ()
         assert index.uni_ids.shape == (0, uni)
         assert index.bi_ids.shape == (0, len(templates) - uni)
+
+
+def test_an_index_must_fit_the_corpus_and_templates():
+    """train, tag and marginals take an index built over the same
+    observation columns, even from another view of them; one with other
+    token or edge rows, or other U or B template counts, is refused."""
+    corpus = Corpus((("a", "b", "c", "d"), ("x", "y", "x", "y"), ("X", "Y", "X", "Z")),
+                    (3, 1), SCHEMA)
+    config = TrainingConfig(max_iterations=3)
+    model = train(corpus, WIDE_TEMPLATES, config)
+    fits = index_features(select_columns(corpus, ["mot", "extra"]), WIDE_TEMPLATES)
+    shared = train(corpus, WIDE_TEMPLATES, config, index=fits)
+    assert np.array_equal(shared.weights, model.weights)
+    assert tag(model, corpus, index=fits) == tag(model, corpus)
+    for got, expected in zip(marginals(model, corpus, index=fits), marginals(model, corpus)):
+        assert np.array_equal(got, expected)
+    misfits = [
+        index_features(table(["a", "b", "c"], ["x", "y", "x"], [2, 1]), WIDE_TEMPLATES),
+        index_features(table(["a", "b", "c", "d"], ["x", "y", "x", "y"], [4]),
+                       WIDE_TEMPLATES),
+        index_features(corpus, WIDE_TEMPLATES[1:]),
+        index_features(corpus, WIDE_TEMPLATES[:-1]),
+    ]
+    for index in misfits:
+        with pytest.raises(LengthMismatchError):
+            train(corpus, WIDE_TEMPLATES, config, index=index)
+        with pytest.raises(LengthMismatchError):
+            tag(model, corpus, index=index)
+        with pytest.raises(LengthMismatchError):
+            marginals(model, corpus, index=index)

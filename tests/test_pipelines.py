@@ -3,15 +3,21 @@
 import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaintag.corpus import ColumnSchema, parse_corpus, write_corpus
-from chaintag.crf import TrainingConfig
+from chaintag.corpus import (
+    ColumnSchema,
+    append_column,
+    parse_corpus,
+    select_columns,
+    write_corpus,
+)
+from chaintag.crf import TrainingConfig, train
 from chaintag.errors import (
     MissingColumnError,
     NoValidTupleError,
@@ -19,7 +25,7 @@ from chaintag.errors import (
     TrainingConfigError,
     UndecomposableTagError,
 )
-from chaintag import pipelines
+from chaintag import pipelines, templates
 from chaintag.pipelines import (
     NAMED_PIPELINES,
     STAGE_SOURCES,
@@ -31,7 +37,7 @@ from chaintag.pipelines import (
     run_pipeline,
 )
 from chaintag.model_io import format_model
-from chaintag.morphology import parse_recipe
+from chaintag.morphology import materialize_recipe, parse_recipe
 from chaintag.tagschema import (
     bundled_schema,
     decompose,
@@ -39,6 +45,8 @@ from chaintag.tagschema import (
     repair,
     symbol_to_text,
 )
+from chaintag.templates import default_templates, parse_templates
+from test_acceptance import _wide_corpora, _wide_schema
 
 SCHEMA3 = ColumnSchema(("mot", "lemme", "tag"))
 FAST = TrainingConfig(max_iterations=30)
@@ -293,6 +301,32 @@ def test_decomposed_untrained_models_repair_to_the_smallest_tag():
     assert set(res.corpus.column("ResL2")) == {min(reachable)}
 
 
+def test_decomposed_components_share_one_index_per_view():
+    """The four component views differ only in their gold column, so VIII
+    expands the training corpus once and the test corpus once, and each
+    component model is the one train fits on its own view."""
+    schema = _wide_schema()
+    train_c, test_c = _wide_corpora(schema)
+    config = TrainingConfig(sigma=10.0, max_iterations=60, tolerance=1e-7)
+    spec = named_pipeline("VIII", config=config)
+    expand = Mock(wraps=templates.index_features)
+    with patch.object(templates, "index_features", expand), \
+            patch.object(pipelines, "index_features", expand):
+        result = run_pipeline(spec, train_c, test_c, schema)
+    assert expand.call_count == 2
+    base = select_columns(materialize_recipe(train_c, spec.recipe),
+                          spec.recipe.column_names)
+    stage_templates = parse_templates(default_templates(range(base.schema.width)))
+    gold = pipelines._component_gold(schema, train_c.column("tag"))
+    for k, component in enumerate(gold):
+        alone = train(append_column(base, "ResG%d" % k, component),
+                      stage_templates, config)
+        shared = result.models["G%d" % k]
+        assert shared.dictionary == alone.dictionary
+        assert np.array_equal(shared.weights, alone.weights)
+        assert (shared.iterations, shared.stop) == (alone.iterations, alone.stop)
+
+
 _PROBABILITIES = st.sampled_from([0.0, 1e-320, 0.25, 0.5, 1.0]) | st.floats(0, 1)
 
 
@@ -324,9 +358,15 @@ def test_rule_recombination_picks_what_repair_picks(data):
                 for k, row in enumerate(rows)]))
         except NoValidTupleError:
             expected.append(None)
-    with patch.object(pipelines, "marginals", lambda model, view: model.sentences):
+    shared_index = object()  # the test view's index, which every component gets
+
+    def component_marginals(model, view, index):
+        assert index is shared_index
+        return model.sentences
+
+    with patch.object(pipelines, "marginals", component_marginals):
         try:
-            got = pipelines._repair_tags(schema, models, None)
+            got = pipelines._repair_tags(schema, models, None, shared_index)
         except NoValidTupleError:  # no valid tag is formable at all
             assert all(tag is None for tag in expected)
             return
