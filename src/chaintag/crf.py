@@ -55,7 +55,10 @@ weights are A'Z, so every iterate's unigram block is A'Z for some Z
 fewer tokens than unigram strings, L-BFGS runs on Z and the bigram
 weights, under the inner product of the weights they stand for
 (``minimize``'s basis): the same iterates, with a history of tokens x
-labels numbers per step instead of strings x labels.
+labels numbers per step instead of strings x labels.  The optimizer
+carries each point's Gram image (AA'Z and the bigram weights), whose
+token block is the unary scores, so an objective call there reads its
+scores and prior off that image and forms no weight vector.
 """
 
 from __future__ import annotations
@@ -434,11 +437,15 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _scores(weights: np.ndarray, enc: _Encoded):
     """Unary scores (rows x L) and one transition matrix per class."""
+    n = enc.activations.shape[1] * enc.n_labels
+    unigram = weights[:n].reshape(-1, enc.n_labels)
+    return enc.activations @ unigram, _transition_scores(weights[n:], enc)
+
+
+def _transition_scores(bigram: np.ndarray, enc: _Encoded) -> np.ndarray:
+    """One transition matrix per class (classes x L x L) at bigram weights."""
     L = enc.n_labels
-    n_uni = enc.activations.shape[1]
-    w_uni = weights[: n_uni * L].reshape(n_uni, L)
-    w_bi = weights[n_uni * L :].reshape(-1, L * L)
-    return enc.activations @ w_uni, (enc.transitions @ w_bi).reshape(-1, L, L)
+    return (enc.transitions @ bigram.reshape(-1, L * L)).reshape(-1, L, L)
 
 
 def _expectations(unary: np.ndarray, P: np.ndarray, enc: _Encoded):
@@ -499,23 +506,23 @@ def _best_paths(unary: np.ndarray, P: np.ndarray, enc: _Encoded) -> np.ndarray:
     return enc.in_corpus_order(path)
 
 
-def _objective(x: np.ndarray, enc: _Encoded, sigma: float, basis=None):
+def _objective(x: np.ndarray, enc: _Encoded, sigma: float, gram=None):
     """Regularized log-likelihood and its gradient over the whole corpus,
-    at weights x, or at weights basis.matvec(x) with the gradient in token
-    coordinates when basis is _TokenBasis(enc) (see the module docstring)."""
-    weights = x if basis is None else basis.matvec(x)
-    unary, P = _scores(weights, enc)
-    log_z, node, expected = _expectations(unary, P, enc)
+    at weights x, or, given gram = G x for token coordinates x (see
+    _TokenBasis), at weights B x with the gradient in token coordinates.
+    G x is (AA'Z, b): its token block is the unary scores, its bigram block
+    the bigram weights, and <x, G x> the squared norm of B x."""
+    if gram is None:
+        unary, P = _scores(x, enc)
+    else:
+        n = enc.activations.shape[0] * enc.n_labels
+        unary, P = gram[:n].reshape(-1, enc.n_labels), _transition_scores(gram[n:], enc)
+    value, node, expected = _likelihood(unary, P, x, x if gram is None else gram, enc, sigma)
     rows = np.arange(len(node))
-    # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
-    # several threads that then spin, slowing the optimizer's work between
-    # calls (on two cores, pipeline VIII's training took ~1.8x as long).
-    value = float(unary[rows, enc.gold].sum() + np.einsum("kij,kij->", enc.gold_pairs, P)
-                  - log_z - np.einsum("i,i->", weights, weights) / (2.0 * sigma * sigma))
     node *= -1.0
     node[rows, enc.gold] += 1.0  # R = onehot(gold) - node
     pairs = (enc.gold_pairs - expected).reshape(len(P), enc.n_labels**2)
-    unigram = node if basis is not None else enc.activations_T @ node
+    unigram = node if gram is not None else enc.activations_T @ node
     gradient = np.concatenate([unigram.ravel(), (enc.transitions_T @ pairs).ravel()])
     gradient -= x / (sigma * sigma)
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
@@ -523,11 +530,27 @@ def _objective(x: np.ndarray, enc: _Encoded, sigma: float, basis=None):
     return value, gradient
 
 
+def _likelihood(unary: np.ndarray, P: np.ndarray, a: np.ndarray, b: np.ndarray,
+                enc: _Encoded, sigma: float):
+    """Regularized log-likelihood at the given scores (see _scores), with
+    <a, b> as the weights' squared norm, and _expectations' node marginals
+    and expected pair counts."""
+    log_z, node, expected = _expectations(unary, P, enc)
+    rows = np.arange(len(node))
+    # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
+    # several threads that then spin, slowing the optimizer's work between
+    # calls (on two cores, pipeline VIII's training took ~1.8x as long).
+    value = float(unary[rows, enc.gold].sum() + np.einsum("kij,kij->", enc.gold_pairs, P)
+                  - log_z - np.einsum("i,i->", a, b) / (2.0 * sigma * sigma))
+    return value, node, expected
+
+
 @dataclass(frozen=True, eq=False)
 class _TokenBasis:
     """The map B from token coordinates (Z, b) to weights (A'Z, b): Z holds
     one row of L numbers per row of the packed layout, A is the activations
-    (rows x unigram strings) and b the bigram weights."""
+    (rows x unigram strings) and b the bigram weights.  Its Gram matrix
+    G = B'B maps (Z, b) to (AA'Z, b)."""
 
     enc: _Encoded
 
@@ -584,22 +607,27 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
 
     A basis B (with B.matvec(x) = B x and B.rmatvec(w) = B'w, as a scipy
     LinearOperator has) makes x the coordinates of the point B x, and fun
-    must then return coordinates g of the gradient B g.  Every dot product is the images' one, <B a, B b> = <a, G b>
-    with G = B'B, so the steps are those taken on the images.  Each step
-    and gradient change is kept beside its Gram image (G s is the step
-    times G d, and G d follows d through the recursion), and the
-    "gradient" stop tests the entries of B g.  Without a basis, G is the
-    identity and each vector is its own Gram image."""
+    must then return coordinates g of the gradient B g.  Every dot product
+    is the images' one, <B a, B b> = <a, G b> with G = B'B, so the steps
+    are those taken on the images.  Each step and gradient change is kept
+    beside its Gram image (G s is the step times G d, and G d follows d
+    through the recursion), and the "gradient" stop tests the entries of
+    B g.  The point's Gram image is carried too: G x0 once, then each
+    trial point's is G x plus the step times G d, and fun is called as
+    fun(x, G x).  Without a basis, G is the identity, each vector is its
+    own Gram image, and fun is called as fun(x)."""
 
     def images(v):
-        """B v and G v."""
-        if basis is None:
-            return v, v
-        w = basis.matvec(v)
-        return w, basis.rmatvec(w)
+        """The largest entry of B v in size, and G v.  B v is as long as
+        the weights, so it is dropped at once rather than held through a
+        line search."""
+        w = v if basis is None else basis.matvec(v)
+        largest = max(w.max(initial=0.0), -w.min(initial=0.0))
+        return largest, v if basis is None else basis.rmatvec(w)
 
-    x, (f, g), calls = x0, fun(x0), 1
-    g_image, g_gram = images(g)
+    x, x_gram = x0, None if basis is None else images(x0)[1]
+    (f, g), calls = fun(x) if basis is None else fun(x, x_gram), 1
+    g_largest, g_gram = images(g)
     if callback is not None:
         callback(x, f)
     # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images
@@ -607,7 +635,7 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
     S, Y = np.empty((_MEMORY, rows, x.size)), np.empty((_MEMORY, rows, x.size))
     rho, alpha = np.empty(_MEMORY), np.empty(_MEMORY)
     for iteration in itertools.count():
-        if np.abs(g_image).max(initial=0.0) <= _GRADIENT_TOLERANCE:
+        if g_largest <= _GRADIENT_TOLERANCE:
             return x, iteration, calls, "gradient"
         if iteration and f_old - f <= tolerance * max(abs(f_old), abs(f), 1.0):
             return x, iteration, calls, "converged"
@@ -624,32 +652,34 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
         for k in reversed(slots):
             daxpy(S[k].ravel(), D.ravel(), a=alpha[k] - rho[k] * ddot(Y[k, -1], D[0]))
         step = 1.0 if iteration else 1.0 / np.sqrt(ddot(g, g_gram))
-        step, point, f_new, g_new, trials = _line_search(fun, x, f, g, D[0], D[-1], step)
+        step, point, point_gram, f_new, g_new, trials = _line_search(
+            fun, x, x_gram, f, g, D[0], D[-1], step)
         calls += trials
         if point is None:
             return x, iteration, calls, "line search"
         if point is x:
             return x, iteration, calls, "converged"
         k = iteration % _MEMORY
-        g_image, gram_new = images(g_new)
+        g_largest, gram_new = images(g_new)
         np.subtract(point, x, out=S[k, 0])
         np.subtract(g_new, g, out=Y[k, 0])
         if basis is not None:
             np.multiply(D[-1], step, out=S[k, -1])
             np.subtract(gram_new, g_gram, out=Y[k, -1])
         rho[k] = 1.0 / ddot(Y[k, -1], S[k, 0])  # s'y > 0 on a strictly convex fun
-        x, f_old, f, g, g_gram = point, f, f_new, g_new, gram_new
+        x, x_gram, f_old, f, g, g_gram = point, point_gram, f, f_new, g_new, gram_new
         if callback is not None:
             callback(x, f)
 
 
-def _line_search(fun, x, f0, g0, d, d_gram, step):
+def _line_search(fun, x, x_gram, f0, g0, d, d_gram, step):
     """A step along d meeting the strong Wolfe conditions, searched in the
     manner of Moré & Thuente: extrapolate by cubic steps until a minimizer
     is bracketed, then zoom by safeguarded cubic steps or bisection.  A
     slope is a gradient's dot product with d_gram, the Gram image of d.
-    Returns the step, the point, its value, its gradient and the number
-    of calls.
+    fun sees each trial point, and its Gram image x_gram + step d_gram
+    unless x_gram is None.  Returns the step, the point, its Gram image,
+    its value, its gradient and the number of calls.
     When 20 trials find no such step, or rounding leaves none to try, the
     point is x if rounding hides any decrease left in the bracket, and
     None otherwise."""
@@ -658,11 +688,15 @@ def _line_search(fun, x, f0, g0, d, d_gram, step):
     step = np.float64(step)
     for trial in range(1, _MAX_TRIALS + 1):
         point = daxpy(d, x.copy(), a=step)
-        f, g = fun(point)
+        if x_gram is None:
+            point_gram, (f, g) = None, fun(point)
+        else:
+            point_gram = daxpy(d_gram, x_gram.copy(), a=step)
+            f, g = fun(point, point_gram)
         now = (step, f, ddot(g, d_gram))
         decreased = f <= f0 + _C1 * step * slope0
         if decreased and abs(now[2]) <= -_C2 * slope0:
-            return step, point, f, g, trial
+            return step, point, point_gram, f, g, trial
         if not decreased or f >= lo[1]:
             hi = now
         elif now[2] * (hi[0] - lo[0] if hi else 1.0) >= 0:
@@ -691,8 +725,8 @@ def _line_search(fun, x, f0, g0, d, d_gram, step):
     # decrease, are within the rounding of f0, no decrease is left to find.
     rounding = abs(np.spacing(f0))
     if hi is not None and max(f0 - lo[1], -slope0 * max(lo[0], hi[0])) <= rounding:
-        return 0.0, x, f0, g0, trial
-    return None, None, None, None, trial
+        return 0.0, x, x_gram, f0, g0, trial
+    return None, None, None, None, None, trial
 
 
 @np.errstate(all="ignore")
@@ -740,8 +774,8 @@ def train(
     basis = _TokenBasis(enc) if corpus.n_tokens < len(dictionary.uni_strings) else None
     trace: list[float] = []
 
-    def fun(x):
-        value, gradient = _objective(x, enc, config.sigma, basis)
+    def fun(x, gram=None):
+        value, gradient = _objective(x, enc, config.sigma, gram)
         return -value, -gradient
 
     x, iterations, evaluations, stop = minimize(
@@ -752,10 +786,15 @@ def train(
         callback=lambda x, f: trace.append(-f),
         basis=basis,
     )
+    weights = x if basis is None else basis.matvec(x)
+    if basis is not None:
+        # the last value was read off the carried Gram image; sum it on the
+        # weights, as objective_and_gradient does for the model
+        trace[-1] = _likelihood(*_scores(weights, enc), weights, weights, enc, config.sigma)[0]
     return LinearChainModel(
         dictionary=dictionary,
         templates=tuple(templates),
-        weights=x if basis is None else basis.matvec(x),
+        weights=weights,
         sigma=config.sigma,
         iterations=iterations,
         trace=tuple(trace),

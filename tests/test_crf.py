@@ -680,14 +680,16 @@ class TestObjective:
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_token_coordinates_give_the_weight_coordinates_objective(self):
-        """At w = B z, value and gradient in token coordinates are those
-        in weight coordinates, the gradient mapped through B."""
+        """At w = B z, value and gradient in token coordinates, read off
+        the Gram image B'B z, are those in weight coordinates, the gradient
+        mapped through B."""
         corpus = paired_corpus()
         model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
         enc = crf._encode(corpus, model.templates, model.dictionary, 1)
         basis = crf._TokenBasis(enc)
         z = np.random.default_rng(7).normal(size=basis.shape[1])
-        value_z, gradient_z = crf._objective(z, enc, 3.0, basis)
+        gram = basis.rmatvec(basis.matvec(z))
+        value_z, gradient_z = crf._objective(z, enc, 3.0, gram)
         value_w, gradient_w = crf._objective(basis.matvec(z), enc, 3.0)
         assert gradient_w.size == basis.shape[0] == model.dictionary.n_weights
         assert value_z == pytest.approx(value_w, rel=1e-12)
@@ -809,7 +811,7 @@ class TestMinimize:
     def test_the_gradient_stop_reads_the_image_under_the_basis(self):
         """f(B z) = (z0 + z1 - 1)^2 / 2 with B = [1 1]; the coordinates
         (z0 + z1, -1) stand for its gradient, and are not 0 where it is."""
-        fun = lambda z: (float((z.sum() - 1) ** 2 / 2), np.array([z.sum(), -1.0]))
+        fun = lambda z, gram: (float((z.sum() - 1) ** 2 / 2), np.array([z.sum(), -1.0]))
         result = minimize(fun, np.array([2.0, -1.0]), 10, 1e-5,
                           basis=aslinearoperator(np.ones((1, 2))))
         assert result[1:] == (0, 1, "gradient")
@@ -820,7 +822,8 @@ class TestMinimize:
         """f(x) = lam |x|^2 / 2 + (B'x)'H(B'x) / 2 - c'B'x has its minimizer
         in the span of B, and its gradient at B z is B (lam z + H B'B z - c).
         From 0, L-BFGS on the coordinates z under B's inner product takes
-        the steps L-BFGS takes on x."""
+        the steps L-BFGS takes on x.  The coordinates' objective reads B'x
+        off the Gram image minimize carries, which must be B'B z."""
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(n, k))
         Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
@@ -832,8 +835,11 @@ class TestMinimize:
             v = B.T @ x
             return float(lam * x @ x / 2 + v @ H @ v / 2 - c @ v), lam * x + B @ (H @ v - c)
 
-        def coordinates(z):
-            return fun(B @ z)[0], lam * z + H @ (B.T @ (B @ z)) - c
+        def coordinates(z, gram):
+            exact = B.T @ (B @ z)
+            assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
+            value = lam * z @ gram / 2 + gram @ H @ gram / 2 - c @ gram
+            return float(value), lam * z + H @ gram - c
 
         on_x, on_z = [], []
         _, *outcome = minimize(fun, np.zeros(n), 200, 1e-9,
@@ -978,6 +984,24 @@ class TestTokenCoordinates:
         scale = np.abs(reference.weights).max()
         assert np.abs(model.weights - reference.weights).max() <= 1e-6 * scale
         assert np.allclose(model.trace, reference.trace, rtol=1e-9, atol=0)
+
+    def test_every_call_sees_the_exact_gram_image(self, monkeypatch):
+        """The Gram image minimize carries from step to step stays the
+        point's own, B'B x, over a long run."""
+        grams = []
+        objective = crf._objective
+
+        def spy(x, enc, sigma, gram=None):
+            basis = crf._TokenBasis(enc)
+            grams.append((gram, basis.rmatvec(basis.matvec(x))))
+            return objective(x, enc, sigma, gram)
+
+        monkeypatch.setattr(crf, "_objective", spy)
+        model = train(wide_corpus(), parse_templates(default_templates([0])),
+                      TrainingConfig(max_iterations=300, tolerance=1e-12))
+        assert len(grams) == model.evaluations and model.iterations > 10
+        for gram, exact in grams:
+            assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
 
     def test_the_cutoff_corpus_has_a_sentence_without_unigram_strings(self):
         corpus = paired_corpus()

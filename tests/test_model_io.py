@@ -56,8 +56,9 @@ class TestByteIdentity:
     templates must keep writing these exact bytes; a kernel or objective
     that sums in another order moves the weights in their last digits, and
     so these digests.  The toy corpus has fewer tokens than unigram
-    strings, so it trains on token coordinates; the c10 stage has more,
-    and trains on the weights."""
+    strings, so it trains on token coordinates, its scores read off the
+    Gram image the optimizer carries; the c10 stage has more, and trains
+    on the weights."""
 
     @staticmethod
     def digest(model, tmp_path):
@@ -72,7 +73,7 @@ class TestByteIdentity:
         toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
         model = train(toy, parse_templates(default_templates(range(2))))
         assert self.digest(model, tmp_path) == (
-            "bbcf2117ba65639c897066b9e7c1b39d62336f35d1365b6f16b1b0210864c2fe"
+            "5b7d8181eda879df82832c3068ab78f29cbac344922f92e0a0fcb45f43c5787b"
         )
 
     def test_first_cascade_stage_on_the_c10_corpus(self, tmp_path):
