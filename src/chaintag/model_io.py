@@ -3,17 +3,25 @@
 A model file is UTF-8: a header (format version, label alphabet, sigma,
 iteration count, objective calls and stop reason, cutoff, template hash),
 the template text verbatim, the retained feature strings with their
-corpus counts, and one weight per line.  Weights are written with repr so
-the float round-trip is exact and a reloaded model tags byte-identically.
+corpus counts, and the weights.  Version 3 writes the weights as
+base64.encodebytes of their little-endian float64 bytes (lines of 76
+characters), so the round-trip is bit-exact, NaN payloads included, and a
+reloaded model tags byte-identically.
 
 Reading parses the header and the template and feature sections line by
-line, and the weight section, always last, in one numpy pass, so a reload
-holds no Python object per weight.  Version 1 files, written before the
-optimizer outcome was kept, still read, with the outcome unknown ("", 0).
+line.  The weight section, always last, is decoded in chunks straight from
+the text into the weight array, so a reload holds neither a Python object
+per weight nor a copy of the section.  Only the text that the writer would
+write for the decoded bytes is accepted.  Versions 1 and 2 wrote one repr
+per weight line; they still read, in one numpy pass.  Version 1 files,
+written before the optimizer outcome was kept, read with the outcome
+unknown ("", 0).
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import warnings
 
 import numpy as np
@@ -29,26 +37,34 @@ from .templates import (
 )
 
 MAGIC = "chaintag-model"
-VERSION = 2
+VERSION = 3
 
 # The header lines after the magic line, by format version.
+# Version 3 changes only the weight section.
 _HEADER_KEYS = {
     1: ("labels", "sigma", "iterations", "cutoff", "template-sha256"),
     2: ("labels", "sigma", "iterations", "evaluations", "stop", "cutoff",
         "template-sha256"),
 }
+_HEADER_KEYS[3] = _HEADER_KEYS[2]
 _SECTIONS = ("[templates]", "[unigrams]", "[bigrams]")
 _WEIGHTS = "\n[weights]\n"
-# numpy's text reader takes any run of whitespace as one separator (and
-# reads text of whitespace alone as [-1.]), and reads "nan(...)", which
-# float() refuses.  In weight text with none of these characters and no
-# blank line, each separator is one newline, so numpy reads one number per
-# line, as float() reads it, or fails.
+# Versions 1 and 2: numpy's text reader takes any run of whitespace as one
+# separator (and reads text of whitespace alone as [-1.]), and reads
+# "nan(...)", which float() refuses.  In weight text with none of these
+# characters and no blank line, each separator is one newline, so numpy
+# reads one number per line, as float() reads it, or fails.
 _NOT_IN_WEIGHTS = (" ", "\t", "\r", "\x0b", "\x0c", "(")
 
 
-# Weight lines are rendered this many at a time.
-_WEIGHTS_PER_CHUNK = 8192
+# Version 3 weights are encoded and decoded this many bytes at a time:
+# 1,024 whole base64 lines of 57 bytes, 76 characters and a newline.
+_CHUNK_BYTES = 1024 * base64.MAXBINSIZE
+
+
+def _base64_length(nbytes: int) -> int:
+    """Characters that base64.encodebytes writes for nbytes bytes."""
+    return -(-nbytes // 3) * 4 + -(-nbytes // base64.MAXBINSIZE)
 
 
 def _model_lines(model: LinearChainModel):
@@ -72,9 +88,9 @@ def _model_lines(model: LinearChainModel):
     for s in d.bi_strings:
         yield "%s\t%d\n" % (s, d.counts[s])
     yield "[weights]\n"
-    for lo in range(0, model.weights.size, _WEIGHTS_PER_CHUNK):
-        chunk = model.weights[lo : lo + _WEIGHTS_PER_CHUNK].tolist()
-        yield "".join([repr(w) + "\n" for w in chunk])
+    data = memoryview(np.ascontiguousarray(model.weights, "<f8")).cast("B")
+    for lo in range(0, len(data), _CHUNK_BYTES):
+        yield base64.encodebytes(data[lo : lo + _CHUNK_BYTES]).decode("ascii")
 
 
 def format_model(model: LinearChainModel) -> str:
@@ -88,8 +104,9 @@ def _header_value(lines: list[str], i: int, key: str) -> str:
 
 
 def _parse_weights(body: str, n: int) -> np.ndarray:
-    """The n weights of a weight section, one per line, in one numpy pass.
-    Refuses every section that float() on each line refuses."""
+    """The n weights of a version 1 or 2 weight section, one per line, in
+    one numpy pass.  Refuses every section that float() on each line
+    refuses."""
     if (body.startswith("\n") or "\n\n" in body
             or any(c in body for c in _NOT_IN_WEIGHTS)):
         raise ModelFormatError("weights must be one number per line, with no"
@@ -106,6 +123,33 @@ def _parse_weights(body: str, n: int) -> np.ndarray:
     return weights
 
 
+def _decode_weights(text: str, start: int, n: int) -> np.ndarray:
+    """The n weights of the version 3 weight section text[start:], decoded
+    chunk by chunk into one array.  Refuses every section that is not what
+    base64.encodebytes writes for the bytes it decodes to."""
+    weights = np.empty(n, "<f8")
+    out = weights.view(np.uint8)
+    if len(text) - start != _base64_length(out.size):
+        raise ModelFormatError("expected %d weights as %d base64 characters, found %d"
+                               % (n, _base64_length(out.size), len(text) - start))
+    for lo in range(0, out.size, _CHUNK_BYTES):
+        hi = min(lo + _CHUNK_BYTES, out.size)
+        at = start + _base64_length(lo)
+        piece = text[at : at + _base64_length(hi - lo)]
+        try:
+            raw = binascii.a2b_base64(piece)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            raw = None
+        # 3k + 1, 3k + 2 and 3k + 3 bytes take as many characters
+        if (raw is None or len(raw) != hi - lo
+                or base64.encodebytes(raw).decode("ascii") != piece):
+            raise ModelFormatError("weights must be base64 lines of 76 characters, as"
+                                   " written; bad text after character %d of the section"
+                                   % (at - start))
+        out[lo:hi] = np.frombuffer(raw, np.uint8)
+    return weights
+
+
 def parse_model(text: str) -> LinearChainModel:
     if not text.endswith("\n"):  # a file may lack its final newline
         text += "\n"
@@ -116,8 +160,9 @@ def parse_model(text: str) -> LinearChainModel:
     lines = head.split("\n")[:-1]  # the last is the "" after the final newline
     versions = {"%s %d" % (MAGIC, v): v for v in _HEADER_KEYS}
     if not lines or lines[0] not in versions:
-        raise ModelFormatError("not a %s version 1 or %d file" % (MAGIC, VERSION))
-    keys = _HEADER_KEYS[versions[lines[0]]]
+        raise ModelFormatError("not a %s file of version 1 to %d" % (MAGIC, VERSION))
+    version = versions[lines[0]]
+    keys = _HEADER_KEYS[version]
     header = {key: _header_value(lines, i, key) for i, key in enumerate(keys, 1)}
     labels = tuple(header["labels"].split("\t"))
     try:
@@ -167,10 +212,15 @@ def parse_model(text: str) -> LinearChainModel:
         counts=counts,
         cutoff=cutoff,
     )
+    start, n = cut + len(_WEIGHTS), dictionary.n_weights
+    if version == 3:
+        weights = _decode_weights(text, start, n)
+    else:
+        weights = _parse_weights(text[start:], n)
     return LinearChainModel(
         dictionary=dictionary,
         templates=templates,
-        weights=_parse_weights(text[cut + len(_WEIGHTS) :], dictionary.n_weights),
+        weights=weights,
         sigma=sigma,
         iterations=iterations,
         trace=(),

@@ -3,6 +3,8 @@
 import hashlib
 import random
 import re
+import string
+import struct
 import tracemalloc
 from importlib import resources
 
@@ -49,8 +51,17 @@ def model():
     return train(CORPUS, templates, TrainingConfig(max_iterations=60))
 
 
+def v2_text(model):
+    """The model file as version 2 wrote it, one repr per weight line: the
+    oracle of the version 2 reader, and of the weights behind a digest."""
+    head = format_model(model).split("[weights]\n")[0]
+    assert head.startswith("chaintag-model 3\n")
+    return ("chaintag-model 2\n" + head[len("chaintag-model 3\n"):] + "[weights]\n"
+            + "".join(repr(w) + "\n" for w in model.weights.tolist()))
+
+
 class TestByteIdentity:
-    """Digests of version 2 model files trained with the packed
+    """Digests of version 3 model files trained with the packed
     forward-backward and the objective read off the lattice scores (gold
     label and label-pair statistics).  Training from the same corpus and
     templates must keep writing these exact bytes; a kernel or objective
@@ -73,7 +84,7 @@ class TestByteIdentity:
         toy = parse_corpus(text, ColumnSchema(("mot", "lemme", "tag")))
         model = train(toy, parse_templates(default_templates(range(2))))
         assert self.digest(model, tmp_path) == (
-            "5b7d8181eda879df82832c3068ab78f29cbac344922f92e0a0fcb45f43c5787b"
+            "8c0376cc5e6fe0139d1a36fa0c1a263097214119fe16a3b025161bc26f3635a9"
         )
 
     def test_first_cascade_stage_on_the_c10_corpus(self, tmp_path):
@@ -91,7 +102,7 @@ class TestByteIdentity:
             TrainingConfig(sigma=10.0, max_iterations=80, tolerance=1e-6),
         )
         assert self.digest(model, tmp_path) == (
-            "4dda491db9e32056cbe452f6a0c26e0e2dad224d27e61bb66eaeaa2ad3a1fb26"
+            "0fa0e1e854bd7fc7a766d4c781eec649306412b9558d0e4c505cf32d6bc3af43"
         )
 
 
@@ -105,6 +116,23 @@ V1_MODEL = (
     "-0.39607740293503\n0.3960774029350301\n0.23282295728629623\n"
     "-0.23282295728629615\n-0.22993754393195634\n0.6955834585045486\n"
     "-0.16613985900307365\n-0.29950605556951865\n"
+)
+
+
+# A version 2 file: four L-BFGS steps on CORPUS with "U00:%x[0,0]\nB\n".
+V2_MODEL = (
+    "chaintag-model 2\nlabels\tD\tN\tV\nsigma\t1.0\niterations\t4\nevaluations\t5\n"
+    "stop\tmax_iterations\ncutoff\t1\n"
+    "template-sha256\t27f89c3e82d92480653385ffb74fdf7350edb1e0ee09a70cf161a0dea35d1f0b\n"
+    "[templates]\nU00:%x[0,0]\nB\n[unigrams]\nU00:le\t2\nU00:sel\t1\nU00:fond\t2\n"
+    "U00:la\t1\nU00:mer\t1\n[bigrams]\nB\t4\n[weights]\n0.6388573073036548\n"
+    "-0.3479887066663833\n-0.2908686006372714\n-0.20142568760087454\n0.3827231381722123\n"
+    "-0.18129745057133778\n-0.2995998628185773\n-0.4328980495839605\n0.7324979124025378\n"
+    "0.37688260504885046\n-0.2000435144484705\n-0.17683909060038003\n"
+    "-0.17336096840179385\n0.41207872932150186\n-0.23871776091970798\n"
+    "-0.2854584275366165\n0.8267642908317556\n0.27300836145649154\n"
+    "-0.21494581570121382\n-0.24893708809067586\n0.29857382084924833\n"
+    "-0.17398227558341545\n-0.21592338483132612\n-0.2590994813942476\n"
 )
 
 
@@ -139,7 +167,7 @@ class TestRoundTrip:
         assert model.stop and model.evaluations > model.iterations
         loaded = parse_model(format_model(model))
         assert (loaded.stop, loaded.evaluations) == (model.stop, model.evaluations)
-        assert format_model(model).startswith("chaintag-model 2\n")
+        assert format_model(model).startswith("chaintag-model 3\n")
 
     def test_version_1_file_reads_with_the_outcome_unknown(self):
         loaded = parse_model(V1_MODEL)
@@ -149,13 +177,27 @@ class TestRoundTrip:
             float(w) for w in V1_MODEL.split("[weights]\n")[1].split()
         ]
         # version 2 adds the two outcome lines and changes nothing else
-        assert strip_outcome(format_model(loaded)) == V1_MODEL
+        assert strip_outcome(v2_text(loaded)) == V1_MODEL
+
+    def test_version_2_file_resaves_as_version_3_with_the_same_weights(self, tmp_path):
+        path = tmp_path / "v2.model"
+        path.write_text(V2_MODEL, encoding="utf-8")
+        loaded = load_model(path)
+        assert (loaded.stop, loaded.evaluations) == ("max_iterations", 5)
+        assert v2_text(loaded) == V2_MODEL  # so the weights are the file's
+        save_model(loaded, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("chaintag-model 3\n") and text.isascii()
+        assert text.split("[weights]\n")[0] == V2_MODEL.split("[weights]\n")[0].replace(
+            "chaintag-model 2", "chaintag-model 3", 1)
+        assert load_model(path).weights.tobytes() == loaded.weights.tobytes()
 
     def test_file_without_its_final_newline_is_accepted(self, model):
-        text = format_model(model)
-        loaded = parse_model(text[:-1])
-        assert np.array_equal(loaded.weights, model.weights)
-        assert format_model(loaded) == text
+        for write in (v2_text, format_model):
+            text = write(model)
+            loaded = parse_model(text[:-1])
+            assert np.array_equal(loaded.weights, model.weights)
+            assert write(loaded) == text
 
     def test_zero_weight_model_round_trips(self):
         templates = parse_templates("U00:%x[0,0]\nB\n")
@@ -240,7 +282,7 @@ class TestValidation:
         with pytest.raises(ModelFormatError):
             parse_model(text.replace("chaintag-model", "something-else", 1))
         with pytest.raises(ModelFormatError):
-            parse_model(text.replace("chaintag-model 2", "chaintag-model 3", 1))
+            parse_model(text.replace("chaintag-model 3", "chaintag-model 4", 1))
 
     def test_missing_section_rejected(self, model):
         text = format_model(model).replace("[bigrams]\n", "", 1)
@@ -253,16 +295,17 @@ class TestValidation:
             parse_model(text)
 
     def test_wrong_weight_count_rejected(self, model):
-        text = format_model(model)
-        truncated = "\n".join(text.splitlines()[:-1]) + "\n"
-        with pytest.raises(ModelFormatError):
-            parse_model(truncated)
+        for write in (v2_text, format_model):
+            truncated = "\n".join(write(model).splitlines()[:-1]) + "\n"
+            with pytest.raises(ModelFormatError):
+                parse_model(truncated)
 
     def test_unparseable_weight_rejected(self, model):
-        lines = format_model(model).splitlines()
-        lines[-1] = "not-a-number"
-        with pytest.raises(ModelFormatError):
-            parse_model("\n".join(lines) + "\n")
+        for write in (v2_text, format_model):
+            lines = write(model).splitlines()
+            lines[-1] = "not-a-number"
+            with pytest.raises(ModelFormatError):
+                parse_model("\n".join(lines) + "\n")
 
     def test_empty_text_rejected(self):
         with pytest.raises(ModelFormatError):
@@ -301,7 +344,7 @@ class TestValidation:
     ], ids=["blank line", "space-joined", "tab-joined", "one extra", "second section",
             "nan with payload"])
     def test_malformed_weight_section_rejected(self, model, edit):
-        head, body = format_model(model).split("[weights]\n")
+        head, body = v2_text(model).split("[weights]\n")
         lines = edit(body.split("\n")[:-1])
         with pytest.raises(ModelFormatError):
             parse_model(head + "[weights]\n" + "\n".join(lines) + "\n")
@@ -310,10 +353,12 @@ class TestValidation:
         """numpy reads text of whitespace alone as [-1.]."""
         d = FeatureDictionary(("D",), ("U00:le",), (), {"U00:le": 1}, 1)
         one = LinearChainModel(d, parse_templates("U00:%x[0,0]\n"), np.ones(1), 1.0, 0)
-        text = format_model(one)
+        text = v2_text(one)
         assert parse_model(text).weights.tolist() == [1.0]
         with pytest.raises(ModelFormatError):
             parse_model(text.replace("[weights]\n1.0\n", "[weights]\n\n"))
+        with pytest.raises(ModelFormatError):
+            parse_model(format_model(one).replace("[weights]\nAAAAAAAA8D8=\n", "[weights]\n\n"))
 
 
 def float_per_line(body, n):
@@ -346,7 +391,7 @@ EXTREME_FLOATS = st.one_of(
 @given(weights=st.lists(EXTREME_FLOATS, min_size=10, max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_weights_read_as_float_reads_each_line(weights):
-    text = format_model(weighted(weights))
+    text = v2_text(weighted(weights))
     loaded = parse_model(text).weights
     oracle = float_per_line(text.split("[weights]\n")[1], 10)
     assert np.array_equal(loaded, oracle)
@@ -383,6 +428,151 @@ def test_weight_parse_is_never_looser_than_float_per_line(lines, edits, final_ne
     except ModelFormatError:  # stricter than float(): whitespace, "1_0", non-ASCII digits
         return
     assert loaded.tobytes() == oracle.tobytes()
+
+
+# --- version 3: the weights as base64 of little-endian float64 ----------
+
+def with_weights(n_strings):
+    """A two-label model with n_strings unigram strings, so 2 * n_strings + 4
+    seeded normal weights."""
+    strings = tuple("U00:w%d" % i for i in range(n_strings))
+    d = FeatureDictionary(("D", "N"), strings, ("B",), dict.fromkeys(strings + ("B",), 1), 1)
+    weights = np.random.default_rng(n_strings).normal(size=d.n_weights)
+    return LinearChainModel(d, parse_templates("U00:%x[0,0]\nB\n"), weights, 1.0, 0)
+
+
+def split_weights(text):
+    head, body = text.split("[weights]\n")
+    return head + "[weights]\n", body
+
+
+# 7,406 weights: a section of two chunks, the first of 1,024 lines, whose
+# last line ends in "==".
+LARGE = with_weights(3701)
+LARGE_HEAD, LARGE_BODY = split_weights(format_model(LARGE))
+CHUNK_END = 1024 * 77  # where the second chunk's text starts
+B64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def at(body, i, new, width=1):
+    return body[:i] + new + body[i + width:]
+
+
+def padding_bits_set(body):
+    """Sets the lowest bit of the last data character before "==", which
+    base64.encodebytes always leaves 0."""
+    assert body.endswith("==\n")
+    return at(body, len(body) - 4, B64[B64.index(body[-4]) | 1])
+
+
+def line_break_one_early(body):
+    """Moves the first chunk's last newline one character earlier."""
+    assert body[CHUNK_END - 1] == "\n"
+    return body[: CHUNK_END - 2] + "\n" + body[CHUNK_END - 2] + body[CHUNK_END:]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda b: at(b, 76, ""),
+    lambda b: at(b, 76, "\n\n"),
+    lambda b: b + "\n",
+    lambda b: at(at(b, 75, ""), 77, "A", 0),
+    line_break_one_early,
+    lambda b: at(b, 10, " "),
+    lambda b: at(b, 10, "\t"),
+    lambda b: at(b, 75, "\r"),
+    lambda b: at(b, 10, "\r\n"),
+    lambda b: at(b, 8, "="),
+    lambda b: at(b, 8, "==", 2),
+    lambda b: at(b, 10, "-"),
+    lambda b: at(b, 10, "_"),
+    lambda b: at(b, 10, "\xe9"),
+    lambda b: at(b, 10, "\uff21"),
+    padding_bits_set,
+    lambda b: b[:-3] + "AA\n",
+    lambda b: split_weights(format_model(with_weights(3700)))[1],
+    lambda b: split_weights(format_model(with_weights(3702)))[1],
+    lambda b: b[:-77],
+    lambda b: "",
+], ids=["missing newline", "extra newline", "extra newline at the end", "line too long",
+        "line break across the chunk boundary", "space", "tab", "carriage return",
+        "carriage return before a newline", "= inside", "== inside", "non-alphabet -",
+        "non-alphabet _", "non-ASCII letter", "full-width letter", "padding bits set",
+        "padding read as data", "two weights fewer", "two weights more", "one line fewer",
+        "empty section"])
+def test_version_3_section_not_as_written_rejected(mutate):
+    body = mutate(LARGE_BODY)
+    assert body != LARGE_BODY
+    with pytest.raises(ModelFormatError):
+        parse_model(LARGE_HEAD + body)
+
+
+# Bit patterns as the float64 weights they spell: -0.0, the smallest
+# subnormal, the negative subnormal farthest from 0, +-1e308, +-inf, a
+# signalling NaN with payload 1, a negative quiet NaN with payload 0xdead,
+# and the NaN with every payload bit set.
+SPECIAL_BITS = [
+    struct.unpack("<Q", struct.pack("<d", x))[0]
+    for x in (-0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308, np.inf, -np.inf)
+] + [0x7FF0000000000001, 0xFFF800000000DEAD, 0x7FFFFFFFFFFFFFFF]
+
+
+def from_bits(bits):
+    return np.array(bits, np.uint64).view(np.float64)
+
+
+def test_version_3_special_weights_read_back_bit_for_bit():
+    text = format_model(weighted(from_bits(SPECIAL_BITS)))
+    assert parse_model(text).weights.view(np.uint64).tolist() == SPECIAL_BITS
+
+
+WEIGHT_BITS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS))
+
+
+@given(bits=st.lists(WEIGHT_BITS, min_size=10, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_version_3_weights_read_back_bit_for_bit(bits):
+    loaded = parse_model(format_model(weighted(from_bits(bits)))).weights
+    assert loaded.view(np.uint64).tolist() == bits
+
+
+# Characters of the base64 alphabet, its padding, whitespace and line
+# breaks, and characters outside it.
+SECTION_CHARS = st.text(st.sampled_from(list("AB/+09az=\n \t\r\x0b\x0c-_.:\xe9\u2028")),
+                        max_size=3)
+# Edits near the start of a section, the end of its first chunk or (at a
+# negative offset from the start) its end: two characters swapped,
+# characters overwritten, or a splice.
+EDITS = st.tuples(st.sampled_from([0, CHUNK_END]), st.integers(-80, 80),
+                  st.sampled_from(["swap", "overwrite", "splice"]), st.integers(0, 2),
+                  SECTION_CHARS)
+
+
+def edited(body, anchor, offset, kind, width, new):
+    i = (anchor + offset) % (len(body) + 1)
+    if kind == "swap":
+        return body[:i] + body[i + 1 : i + 2] + body[i : i + 1] + body[i + 2 :]
+    return at(body, i, new, len(new) if kind == "overwrite" else width)
+
+
+@given(bits=st.lists(WEIGHT_BITS, min_size=10, max_size=10),
+       large=st.booleans(),
+       edits=st.lists(EDITS, min_size=1, max_size=3))
+@settings(max_examples=1000, deadline=None)
+def test_version_3_section_is_accepted_only_as_written(bits, large, edits):
+    """An edited section is refused, or it is what the writer writes for the
+    weights it reads as (the file may lack its final newline)."""
+    if large:
+        head, body = LARGE_HEAD, LARGE_BODY
+    else:
+        head, body = split_weights(format_model(weighted(from_bits(bits))))
+    for edit in edits:
+        body = edited(body, *edit)
+    text = head + body
+    try:
+        loaded = parse_model(text)
+    except ModelFormatError:
+        return
+    assert format_model(loaded) == (text if text.endswith("\n") else text + "\n")
 
 
 def test_reload_memory_is_bounded_by_the_file_size(tmp_path):
