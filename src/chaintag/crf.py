@@ -58,7 +58,11 @@ weights, under the inner product of the weights they stand for
 labels numbers per step instead of strings x labels.  The optimizer
 carries each point's Gram image (AA'Z and the bigram weights), whose
 token block is the unary scores, so an objective call there reads its
-scores and prior off that image and forms no weight vector.
+scores and prior off that image and forms no weight vector.  That image
+and the final weights A'Z are formed a block of Z's label columns at a
+time, bit for bit the whole products, so training holds no array as long
+as the weights but the model's own.  Viterbi overwrites the unary scores
+it is given and keeps one-byte back-pointers up to 256 labels.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+# OpenBLAS's daxpy rounds y + a x once per entry (fused multiply-add) and
+# is ~2x as fast as numpy's y += a * x at 400k entries, which rounds ~21%
+# of entries differently and so would move every trained model.
 from scipy.linalg.blas import daxpy, ddot
 
 from .corpus import Corpus
@@ -193,7 +200,7 @@ def viterbi(lattice: Lattice) -> list[int]:
     """
     T = lattice.n_positions
     return _viterbi(
-        lattice.unary, lattice.pairwise, np.arange(T - 1), [1] * T
+        lattice.unary.copy(), lattice.pairwise, np.arange(T - 1), [1] * T
     ).tolist()
 
 
@@ -468,15 +475,15 @@ _VITERBI_CELL_CAP = 250_000
 
 def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.ndarray:
     """The best label of every row of chains in the packed layout, with
-    _forward_backward's arguments.  Every argmax takes the first maximal
-    index, so ties go to the lowest label index."""
+    _forward_backward's arguments, overwriting U.  Every argmax takes the
+    first maximal index, so ties go to the lowest label index."""
     n, L = U.shape
     steps = _steps(sizes)
     first = sizes[0] if sizes else 0
     into = np.ascontiguousarray(P.transpose(0, 2, 1))  # [k, cur, prev]
     chunk = max(1, _VITERBI_CELL_CAP // L**2)
-    delta = U.copy()
-    back = np.empty((n - first, L), dtype=np.intp)
+    delta = U  # the callers own their unary scores
+    back = np.empty((n - first, L), dtype=np.min_scalar_type(L - 1))
     for t in range(1, len(steps)):
         (lo, hi), shift = steps[t], steps[t][0] - steps[t - 1][0]
         for a in range(lo, hi, chunk):
@@ -499,7 +506,8 @@ def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.nda
 
 
 def _best_paths(unary: np.ndarray, P: np.ndarray, enc: _Encoded) -> np.ndarray:
-    """The Viterbi label of every token, in corpus order, at the given scores."""
+    """The Viterbi label of every token, in corpus order, at the given
+    scores, overwriting unary."""
     path = np.empty(len(unary), dtype=np.intp)
     for rows, edges, sizes in enc.spans:
         path[rows] = _viterbi(unary[rows], P, enc.classes[edges], sizes)
@@ -545,12 +553,23 @@ def _likelihood(unary: np.ndarray, P: np.ndarray, a: np.ndarray, b: np.ndarray,
     return value, node, expected
 
 
+# Cap on the cells (unigram strings x labels) of one block of A'Z that
+# _TokenBasis forms at a time: a model whose whole A'Z fits is one block.
+_GRAM_CELL_CAP = 300_000
+
+
 @dataclass(frozen=True, eq=False)
 class _TokenBasis:
     """The map B from token coordinates (Z, b) to weights (A'Z, b): Z holds
     one row of L numbers per row of the packed layout, A is the activations
     (rows x unigram strings) and b the bigram weights.  Its Gram matrix
-    G = B'B maps (Z, b) to (AA'Z, b)."""
+    G = B'B maps (Z, b) to (AA'Z, b).
+
+    Both products form A'Z a block of label columns at a time, at most
+    _GRAM_CELL_CAP cells each, so neither holds an array as long as the
+    weights beside its result.  scipy's sparse products compute each column
+    of a multi-column product by the same operations at any width, so the
+    blocks give the whole product's numbers bit for bit."""
 
     enc: _Encoded
 
@@ -560,17 +579,36 @@ class _TokenBasis:
         n_bi = self.enc.transitions.shape[1] * self.enc.n_labels**2
         return n_uni * self.enc.n_labels + n_bi, rows * self.enc.n_labels + n_bi
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """B x."""
-        z = x[: self.enc.activations.shape[0] * self.enc.n_labels]
-        unigram = self.enc.activations_T @ z.reshape(-1, self.enc.n_labels)
-        return np.concatenate([unigram.ravel(), x[z.size :]])
+    def _blocks(self, z: np.ndarray):
+        """(block, A'Z[:, block]) for each block of Z's label columns."""
+        L = self.enc.n_labels
+        Z = z.reshape(-1, L)
+        width = max(1, _GRAM_CELL_CAP // self.enc.activations.shape[1])
+        for start in range(0, L, width):
+            block = slice(start, start + width)
+            yield block, self.enc.activations_T @ Z[:, block]
 
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """B'w."""
-        u = w[: self.enc.activations.shape[1] * self.enc.n_labels]
-        rows = self.enc.activations @ u.reshape(-1, self.enc.n_labels)
-        return np.concatenate([rows.ravel(), w[u.size :]])
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """B x, written block by block into one new array."""
+        (rows, n_uni), L = self.enc.activations.shape, self.enc.n_labels
+        w = np.empty(self.shape[0])
+        unigram = w[: n_uni * L].reshape(n_uni, L)
+        for block, part in self._blocks(x[: rows * L]):
+            unigram[:, block] = part
+        w[n_uni * L :] = x[rows * L :]
+        return w
+
+    def images(self, v: np.ndarray):
+        """The largest entry of B v in size, and G v (see minimize)."""
+        n = self.enc.activations.shape[0] * self.enc.n_labels
+        gram = np.empty_like(v)
+        gram[n:] = v[n:]
+        largest = max(v[n:].max(initial=0.0), -v[n:].min(initial=0.0))
+        rows = gram[:n].reshape(-1, self.enc.n_labels)
+        for block, part in self._blocks(v[:n]):
+            largest = max(largest, part.max(initial=0.0), -part.min(initial=0.0))
+            rows[:, block] = self.enc.activations @ part
+        return largest, gram
 
 
 def objective_and_gradient(model: LinearChainModel, data: Corpus, sigma: float):
@@ -594,7 +632,7 @@ _MAX_TRIALS = 20
 UNCONVERGED = ("max_iterations", "line search")
 
 
-def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
+def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
     """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
     directions from the last 10 steps by the two-loop recursion (Liu &
     Nocedal 1989).  Stops as L-BFGS-B does: "converged" once a step lowers
@@ -605,33 +643,30 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
     callback(x, value) sees x0 and each accepted point.  Returns the point,
     the number of steps, the number of calls of fun and the stop reason.
 
-    A basis B (with B.matvec(x) = B x and B.rmatvec(w) = B'w, as a scipy
-    LinearOperator has) makes x the coordinates of the point B x, and fun
-    must then return coordinates g of the gradient B g.  Every dot product
-    is the images' one, <B a, B b> = <a, G b> with G = B'B, so the steps
-    are those taken on the images.  Each step and gradient change is kept
+    Given images, x is the coordinates of the point B x under a basis B:
+    images(v) returns the largest entry of B v in size and G v, with
+    G = B'B, and fun must return coordinates g of the gradient B g.  Every
+    dot product is the images' one, <B a, B b> = <a, G b>, so the steps are
+    those taken on the images.  Each step and gradient change is kept
     beside its Gram image (G s is the step times G d, and G d follows d
     through the recursion), and the "gradient" stop tests the entries of
     B g.  The point's Gram image is carried too: G x0 once, then each
     trial point's is G x plus the step times G d, and fun is called as
-    fun(x, G x).  Without a basis, G is the identity, each vector is its
+    fun(x, G x).  Without images, G is the identity, each vector is its
     own Gram image, and fun is called as fun(x)."""
 
-    def images(v):
-        """The largest entry of B v in size, and G v.  B v is as long as
-        the weights, so it is dropped at once rather than held through a
-        line search."""
-        w = v if basis is None else basis.matvec(v)
-        largest = max(w.max(initial=0.0), -w.min(initial=0.0))
-        return largest, v if basis is None else basis.rmatvec(w)
+    def image(v):
+        if images is None:
+            return max(v.max(initial=0.0), -v.min(initial=0.0)), v
+        return images(v)
 
-    x, x_gram = x0, None if basis is None else images(x0)[1]
-    (f, g), calls = fun(x) if basis is None else fun(x, x_gram), 1
-    g_largest, g_gram = images(g)
+    x, x_gram = x0, None if images is None else images(x0)[1]
+    (f, g), calls = fun(x) if images is None else fun(x, x_gram), 1
+    g_largest, g_gram = image(g)
     if callback is not None:
         callback(x, f)
     # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images
-    rows = 1 if basis is None else 2
+    rows = 1 if images is None else 2
     S, Y = np.empty((_MEMORY, rows, x.size)), np.empty((_MEMORY, rows, x.size))
     rho, alpha = np.empty(_MEMORY), np.empty(_MEMORY)
     for iteration in itertools.count():
@@ -660,10 +695,10 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, basis=None):
         if point is x:
             return x, iteration, calls, "converged"
         k = iteration % _MEMORY
-        g_largest, gram_new = images(g_new)
+        g_largest, gram_new = image(g_new)
         np.subtract(point, x, out=S[k, 0])
         np.subtract(g_new, g, out=Y[k, 0])
-        if basis is not None:
+        if images is not None:
             np.multiply(D[-1], step, out=S[k, -1])
             np.subtract(gram_new, g_gram, out=Y[k, -1])
         rho[k] = 1.0 / ddot(Y[k, -1], S[k, 0])  # s'y > 0 on a strictly convex fun
@@ -784,7 +819,7 @@ def train(
         config.max_iterations,
         config.tolerance,
         callback=lambda x, f: trace.append(-f),
-        basis=basis,
+        images=None if basis is None else basis.images,
     )
     weights = x if basis is None else basis.matvec(x)
     if basis is not None:

@@ -3,13 +3,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.sparse.linalg import aslinearoperator
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
@@ -407,12 +409,34 @@ class TestViterbi:
         U = random_lattice(rng, B * T, L, integer).unary.reshape(B, T, L)
         P = random_lattice(rng, K + 1, L, integer).pairwise
         classes = rng.integers(0, K, size=(B, T - 1))
-        paths = crf._viterbi(
-            U.transpose(1, 0, 2).reshape(-1, L), P, classes.T.ravel(), [B] * T
+        paths = crf._viterbi(  # it overwrites its unary scores
+            U.transpose(1, 0, 2).reshape(-1, L).copy(), P, classes.T.ravel(), [B] * T
         ).reshape(T, B).T
         for b in range(B):
             lattice = Lattice(U[b], P[classes[b]])
             assert paths[b].tolist() == viterbi(lattice) == brute_viterbi(lattice)
+
+    @pytest.mark.parametrize("L", [256, 257])
+    def test_back_pointers_hold_every_label_index(self, L):
+        """Back-pointers take one byte up to 256 labels and two from 257.
+        Integer scores make ties; where the last label's unary score is
+        raised by 20, more than any other label can make up, it is every
+        label's best predecessor at the next step, so its index must come
+        back out of the back-pointers whole."""
+        rng = np.random.default_rng(L)
+        B, T = 3, 4
+        U = rng.integers(-2, 3, size=(B, T, L)).astype(float)
+        U[:, :, L - 1] += 20.0 * (rng.random((B, T)) < 0.5)
+        P = rng.integers(-2, 3, size=(2, L, L)).astype(float)
+        classes = rng.integers(0, 2, size=(B, T - 1))
+        paths = crf._viterbi(  # it overwrites its unary scores
+            U.transpose(1, 0, 2).reshape(-1, L).copy(), P, classes.T.ravel(), [B] * T
+        ).reshape(T, B).T
+        assert (paths[:, :-1] == L - 1).any()
+        for b in range(B):
+            lattice = Lattice(U[b].copy(), P[classes[b]])
+            assert paths[b].tolist() == viterbi(lattice) == loop_viterbi(lattice)
+            assert np.array_equal(lattice.unary, U[b])
 
 
 class TestPackedKernel:
@@ -688,7 +712,7 @@ class TestObjective:
         enc = crf._encode(corpus, model.templates, model.dictionary, 1)
         basis = crf._TokenBasis(enc)
         z = np.random.default_rng(7).normal(size=basis.shape[1])
-        gram = basis.rmatvec(basis.matvec(z))
+        gram = gram_oracle(enc, z)
         value_z, gradient_z = crf._objective(z, enc, 3.0, gram)
         value_w, gradient_w = crf._objective(basis.matvec(z), enc, 3.0)
         assert gradient_w.size == basis.shape[0] == model.dictionary.n_weights
@@ -781,6 +805,15 @@ def quadratic(A, b):
     return lambda x: (float(x @ A @ x / 2 - b @ x), A @ x - b)
 
 
+def images_under(B):
+    """minimize's images for the basis B, a matrix: the largest entry of
+    B v in size, and B'B v."""
+    def images(v):
+        w = B @ v
+        return max(w.max(initial=0.0), -w.min(initial=0.0)), B.T @ w
+    return images
+
+
 class TestMinimize:
     @pytest.mark.parametrize("condition", [1.0, 1e2, 1e4])
     def test_finds_the_minimizer_of_a_diagonal_quadratic(self, condition):
@@ -813,7 +846,7 @@ class TestMinimize:
         (z0 + z1, -1) stand for its gradient, and are not 0 where it is."""
         fun = lambda z, gram: (float((z.sum() - 1) ** 2 / 2), np.array([z.sum(), -1.0]))
         result = minimize(fun, np.array([2.0, -1.0]), 10, 1e-5,
-                          basis=aslinearoperator(np.ones((1, 2))))
+                          images=images_under(np.ones((1, 2))))
         assert result[1:] == (0, 1, "gradient")
 
     @pytest.mark.parametrize("seed", range(4))
@@ -846,7 +879,7 @@ class TestMinimize:
                                callback=lambda x, f: on_x.append(x))
         _, *outcome_z = minimize(coordinates, np.zeros(k), 200, 1e-9,
                                  callback=lambda z, f: on_z.append(z),
-                                 basis=aslinearoperator(B))
+                                 images=images_under(B))
         assert outcome_z == outcome
         assert outcome[-1] not in UNCONVERGED
         assert len(on_x) == len(on_z)
@@ -902,10 +935,10 @@ class TestMinimize:
             assert abs(g1 @ s) <= 0.9 * abs(g0 @ s) + slack
 
 
-def scipy_lbfgsb(fun, x0, max_iterations, tolerance, callback=None, basis=None):
+def scipy_lbfgsb(fun, x0, max_iterations, tolerance, callback=None, images=None):
     """The reference optimizer: scipy's L-BFGS-B with the same settings,
     on the weights themselves."""
-    assert basis is None
+    assert images is None
     result = scipy.optimize.minimize(
         fun, x0, jac=True, method="L-BFGS-B",
         options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-9,
@@ -955,6 +988,51 @@ def paired_corpus(seed=4):
     return corpus_of(rows * 2 + [[("plugh", "T0"), ("xyzzy", "T1")]])
 
 
+def basis_oracle(enc, x):
+    """B x = (A'Z, b) for token coordinates x = (Z, b), in one product."""
+    n = enc.activations.shape[0] * enc.n_labels
+    unigram = enc.activations_T @ x[:n].reshape(-1, enc.n_labels)
+    return np.concatenate([unigram.ravel(), x[n:]])
+
+
+def gram_oracle(enc, x):
+    """G x = B'B x = (AA'Z, b), each product in one piece: the reference
+    for the Gram images that _TokenBasis forms a block at a time."""
+    w = basis_oracle(enc, x)
+    m = enc.activations.shape[1] * enc.n_labels
+    rows = enc.activations @ w[:m].reshape(-1, enc.n_labels)
+    return np.concatenate([rows.ravel(), w[m:]])
+
+
+def rare_corpus(n_labels=100, n_sentences=100, seed=6):
+    """Sentences of words drawn from 100,000, each labeled at random."""
+    rng = random.Random(seed)
+    return corpus_of([[("w%05d" % rng.randrange(100_000), "T%03d" % rng.randrange(n_labels))
+                       for _ in range(rng.randint(1, 8))] for _ in range(n_sentences)])
+
+
+# Every one- and two-word conjunction of a seven-word window, and three of
+# three words: on rare words, 33 unigram strings per token, so the weights
+# dwarf the token coordinates.
+WINDOW = parse_templates("".join(
+    "U%02d:%s\n" % (n, "/".join("%%x[%d,0]" % i for i in offsets))
+    for n, offsets in enumerate(
+        [o for k in (1, 2) for o in itertools.combinations(range(-3, 4), k)]
+        + [(i, i + 1, i + 2) for i in range(-3, 2)])) + "B\n")
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call() over what was traced before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestTokenCoordinates:
     """With fewer tokens than unigram strings, train runs L-BFGS on token
     coordinates; the iterates must be those of L-BFGS on the weights."""
@@ -992,8 +1070,7 @@ class TestTokenCoordinates:
         objective = crf._objective
 
         def spy(x, enc, sigma, gram=None):
-            basis = crf._TokenBasis(enc)
-            grams.append((gram, basis.rmatvec(basis.matvec(x))))
+            grams.append((gram, gram_oracle(enc, x)))
             return objective(x, enc, sigma, gram)
 
         monkeypatch.setattr(crf, "_objective", spy)
@@ -1002,6 +1079,52 @@ class TestTokenCoordinates:
         assert len(grams) == model.evaluations and model.iterations > 10
         for gram, exact in grams:
             assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 112])  # 3 labels per block
+    @pytest.mark.parametrize("source", ["random", "paired"])
+    def test_blocked_products_are_the_whole_products_bit_for_bit(
+            self, source, L, seed, monkeypatch):
+        """images and matvec, a block of 3 label columns at a time, against
+        the products in one piece: on random activations with empty rows,
+        and on those of paired_corpus, whose last sentence has none."""
+        rng = np.random.default_rng(seed)
+        if source == "random":
+            dense = sparse.random(40, 25, density=0.15, random_state=rng).toarray()
+            dense[::5] = 0.0
+            A = sparse.csr_matrix(dense)
+        else:
+            corpus = paired_corpus()
+            model = train(corpus, ONE_SIDED, TrainingConfig(cutoff=2, max_iterations=0))
+            A = crf._encode(corpus, ONE_SIDED, model.dictionary).activations
+        assert np.diff(A.indptr).min() == 0
+        enc = SimpleNamespace(activations=A, activations_T=A.T, n_labels=L,
+                              transitions=sparse.csr_matrix((3, 2)))
+        monkeypatch.setattr(crf, "_GRAM_CELL_CAP", 3 * A.shape[1])
+        basis = crf._TokenBasis(enc)
+        n = A.shape[0] * L
+        assert len(list(basis._blocks(np.zeros(n)))) == -(-L // 3)
+        scale = 10.0 ** rng.uniform(-3, 3, size=basis.shape[1])
+        for v in (rng.normal(size=basis.shape[1]) * scale, np.zeros(basis.shape[1])):
+            w = basis_oracle(enc, v)
+            largest, gram = basis.images(v)
+            assert largest == max(w.max(initial=0.0), -w.min(initial=0.0))
+            assert np.array_equal(gram, gram_oracle(enc, v))
+            assert np.array_equal(basis.matvec(v), w)
+
+    def test_training_holds_no_weight_sized_temporaries(self):
+        """With the weights ~20x the token coordinates, training's traced
+        peak, less the L-BFGS history (10 steps and 10 gradient changes,
+        each with its Gram image), is at most twice the weights: the model's
+        own weights, and temporaries a block of label columns wide."""
+        corpus = rare_corpus()
+        models = []
+        peak = traced_peak(lambda: models.append(
+            train(corpus, WINDOW, TrainingConfig(sigma=10.0, max_iterations=3))))
+        d, weights = models[0].dictionary, models[0].weights
+        coordinates = corpus.n_tokens * d.n_labels + len(d.bi_strings) * d.n_labels**2
+        assert weights.size > 20 * coordinates
+        assert peak - 4 * 10 * coordinates * 8 <= 2 * weights.nbytes
 
     def test_the_cutoff_corpus_has_a_sentence_without_unigram_strings(self):
         corpus = paired_corpus()
@@ -1052,6 +1175,16 @@ class TestTagging:
         # a cap of two rows per step's (rows, L, L) score tensor splits the steps
         monkeypatch.setattr(crf, "_VITERBI_CELL_CAP", 2 * model.dictionary.n_labels ** 2)
         assert tag(model, corpus) == expected
+
+    def test_tagging_holds_the_unary_scores_about_once(self):
+        """Viterbi runs in place on the unary scores tag owns, with one-byte
+        back-pointers at up to 256 labels, so tagging peaks at most at
+        twice those scores."""
+        model = train(rare_corpus(), parse_templates("U00:%x[0,0]\nB\n"),
+                      TrainingConfig(max_iterations=0))
+        corpus = rare_corpus(n_sentences=2500, seed=7)
+        peak = traced_peak(lambda: tag(model, corpus))
+        assert peak <= 2 * corpus.n_tokens * model.dictionary.n_labels * 8
 
     def test_empty_corpus_tags_to_nothing(self):
         model = small_model(OMELETTE)
