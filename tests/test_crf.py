@@ -1022,13 +1022,14 @@ WINDOW = parse_templates("".join(
 
 
 def traced_peak(call):
-    """The tracemalloc peak of call() over what was traced before it."""
+    """The tracemalloc peak of call() over what was traced before it, and
+    call()'s result."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
 
@@ -1118,10 +1119,9 @@ class TestTokenCoordinates:
         each with its Gram image), is at most twice the weights: the model's
         own weights, and temporaries a block of label columns wide."""
         corpus = rare_corpus()
-        models = []
-        peak = traced_peak(lambda: models.append(
-            train(corpus, WINDOW, TrainingConfig(sigma=10.0, max_iterations=3))))
-        d, weights = models[0].dictionary, models[0].weights
+        peak, model = traced_peak(
+            lambda: train(corpus, WINDOW, TrainingConfig(sigma=10.0, max_iterations=3)))
+        d, weights = model.dictionary, model.weights
         coordinates = corpus.n_tokens * d.n_labels + len(d.bi_strings) * d.n_labels**2
         assert weights.size > 20 * coordinates
         assert peak - 4 * 10 * coordinates * 8 <= 2 * weights.nbytes
@@ -1183,7 +1183,7 @@ class TestTagging:
         model = train(rare_corpus(), parse_templates("U00:%x[0,0]\nB\n"),
                       TrainingConfig(max_iterations=0))
         corpus = rare_corpus(n_sentences=2500, seed=7)
-        peak = traced_peak(lambda: tag(model, corpus))
+        peak, _ = traced_peak(lambda: tag(model, corpus))
         assert peak <= 2 * corpus.n_tokens * model.dictionary.n_labels * 8
 
     def test_empty_corpus_tags_to_nothing(self):
