@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from sys import float_info
 from typing import Sequence
 
@@ -114,11 +115,12 @@ class TrainingConfig:
         if not 0 < self.tolerance <= float_info.max:
             raise TrainingConfigError(
                 "tolerance must be positive and finite, got %r" % self.tolerance)
-        if self.max_iterations < 0:
+        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 0:
+            raise TrainingConfigError("max_iterations must be an integer of at "
+                                      "least 0, got %r" % (self.max_iterations,))
+        if not isinstance(self.cutoff, Integral) or self.cutoff < 1:
             raise TrainingConfigError(
-                "max_iterations must be at least 0, got %r" % self.max_iterations)
-        if self.cutoff < 1:
-            raise TrainingConfigError("cutoff must be at least 1, got %r" % self.cutoff)
+                "cutoff must be an integer of at least 1, got %r" % (self.cutoff,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +197,8 @@ def viterbi(lattice: Lattice) -> list[int]:
     """Highest-scoring label sequence.
 
     Every argmax (final label and each backtrack step) takes the first
-    maximal index, so ties resolve to the lowest label index and the
-    result is deterministic.
+    maximal index, so ties among the computed scores resolve to the
+    lowest label index and the result is deterministic.
     """
     T = lattice.n_positions
     return _viterbi(

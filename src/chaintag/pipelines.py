@@ -32,7 +32,7 @@ import configparser
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from numbers import Integral
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -46,16 +46,15 @@ from .crf import (
     tag,
     train,
 )
-from .errors import NoValidTupleError, PipelineConfigError
+from .errors import PipelineConfigError
 from .evaluation import kfold_split
 from .morphology import RECIPES, FeatureRecipe, materialize_recipe, parse_recipe
 from .tagschema import (
     TagSchema,
     decompose,
     project_tag,
-    repair,  # noqa: F401 (bench/run.py traces pipelines.repair)
+    repair,
     symbol_to_text,
-    text_to_symbol,
 )
 from .templates import (
     FeatureIndex,
@@ -108,8 +107,11 @@ class PipelineSpec:
         if self.target != "L2" and self.strategy != "direct":
             raise PipelineConfigError(
                 "target %s only applies to direct pipelines" % self.target)
-        if self.jackknife_folds < 2:
-            raise PipelineConfigError("jackknife needs at least 2 folds")
+        if not isinstance(self.jackknife_folds, Integral) or self.jackknife_folds < 2:
+            raise PipelineConfigError("jackknife_folds must be an integer of at "
+                                      "least 2, got %r" % (self.jackknife_folds,))
+        if not isinstance(self.seed, Integral):
+            raise PipelineConfigError("seed must be an integer, got %r" % (self.seed,))
         # the spec file format strips values and ends them at line breaks
         if self.label_column.strip().splitlines() != [self.label_column]:
             raise PipelineConfigError("unusable label column %r" % self.label_column)
@@ -211,10 +213,13 @@ def jackknife_stage_features(
 ) -> StagePrediction:
     """Predict the view's label column for every training sentence using
     a model trained on the other internal folds."""
+    if not isinstance(k, Integral) or k < 2:
+        raise PipelineConfigError(
+            "jackknifing needs an integer of at least 2 folds, got %r" % (k,))
     n = view.n_sentences
+    if n < 2:
+        raise PipelineConfigError("jackknifing needs at least 2 sentences, got %d" % n)
     k = min(k, n)
-    if k < 2:
-        raise PipelineConfigError("jackknifing needs at least 2 sentences")
     label = view.schema.names[-1]
     assignment = kfold_split(view, k, seed)
     templates, _ = _stage_templates(view)
@@ -240,15 +245,10 @@ def _view(base: Corpus, extra: Sequence[tuple[str, Sequence[str]]]) -> Corpus:
     return base
 
 
-def _component_gold(
-    schema: TagSchema, tags: Sequence[str]
-) -> list[list[str]]:
-    columns: list[list[str]] = [[], [], [], []]
-    for t in tags:
-        ct = decompose(schema, t)
-        for k in range(4):
-            columns[k].append(symbol_to_text(ct.component(k)))
-    return columns
+def _component_gold(schema: TagSchema, tags: Sequence[str]) -> list[list[str]]:
+    """The gold tags' four component columns, spelled as in files."""
+    rows = [decompose(schema, t).astuple for t in tags]
+    return [[symbol_to_text(row[k]) for row in rows] for k in range(4)]
 
 
 def _plan(
@@ -294,36 +294,14 @@ def _audit(spec: PipelineSpec) -> tuple[str, ...]:
     return (label_note,)
 
 
-def _repair_tags(
-    schema: TagSchema,
-    models: Mapping[str, LinearChainModel],
-    test_view: Corpus,
-    test_index: FeatureIndex,
-) -> list[str]:
-    """Combine per-component node marginals into valid tags: each token
-    takes the valid tag whose components' log-marginals sum highest, the
-    first in tag order on a tie, as tagschema.repair picks for one token.
-    Tags with a component no model knows are never picked.  The four
-    components share test_index, the test view's feature index."""
+def _repair_tags(schema: TagSchema, models: Mapping[str, LinearChainModel],
+                 test_view: Corpus, test_index: FeatureIndex) -> list[str]:
+    """repair over the components' log node marginals on the shared test_index."""
     components = [models["G%d" % k] for k in range(4)]
     scores = [np.log(np.maximum(np.concatenate(
         [np.empty((0, len(m.labels)))] + marginals(m, test_view, index=test_index)),
         1e-300)) for m in components]
-    if not all(np.isfinite(s).all() for s in scores):
-        raise NoValidTupleError("non-finite component score")
-    index = [{text_to_symbol(label): i for i, label in enumerate(m.labels)}
-             for m in components]
-    tags, columns = [], []  # the formable valid tags and their label columns
-    for tag, symbols in schema._valid_inventory:
-        column = [ix.get(symbol) for ix, symbol in zip(index, symbols)]
-        if None not in column:
-            tags.append(tag)
-            columns.append(column)
-    if not tags:
-        raise NoValidTupleError("no valid tuple from the component labels")
-    # summed left to right, as repair does, so ties break the same way
-    total = reduce(np.add, (s[:, c] for s, c in zip(scores, np.transpose(columns))))
-    return np.array(tags, dtype=object)[total.argmax(axis=1)].tolist()
+    return repair(schema, [m.labels for m in components], scores)
 
 
 def run_pipeline(

@@ -15,11 +15,12 @@ are pure; a parsed schema is immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import read_text
 from .errors import (
@@ -383,42 +384,40 @@ def recombine(schema: TagSchema, tag: ComponentTag) -> str:
     return schema._tag_of_tuple[tag.astuple]
 
 
-Scored = Sequence[tuple[str, float]]
+def repair(
+    schema: TagSchema, labels: Sequence[Sequence[str]], scores: Sequence[np.ndarray]
+) -> list[str]:
+    """Best valid tag for every token from four components' label scores.
 
-
-def repair(schema: TagSchema, candidates: Sequence[Scored]) -> str:
-    """Best valid tag assembled from per-component scored candidates.
-
-    Candidates are four (symbol, score) lists, one per component; the EPS
-    spelling is accepted for the empty symbol.  Over every valid tuple
-    formable from the lists, the one with the highest score sum wins; ties
-    go to the lexicographically smallest tag string.  A symbol listed more
-    than once counts with its best score.
+    labels holds the four component alphabets, spelled as the component
+    models spell them (EPS for the empty symbol); scores[k] is a tokens x
+    len(labels[k]) array.  Each token takes the valid tag whose component
+    scores, summed g0 to g3, are highest; ties go to the smallest tag
+    string.  A tag with a component outside the alphabets is never picked.
     """
-    if len(candidates) != 4:
-        raise NoValidTupleError("need one candidate list per component")
-    pools: list[dict[str, float]] = []
-    for k, pool in enumerate(candidates):
-        if not pool:
-            raise NoValidTupleError("empty candidate list for component %d" % k)
-        best_of: dict[str, float] = {}
-        for symbol, score in pool:
-            if not math.isfinite(score):
-                raise NoValidTupleError(
-                    "non-finite score for symbol %r" % symbol
-                )
-            symbol = text_to_symbol(symbol)
-            best_of[symbol] = max(float(score), best_of.get(symbol, -math.inf))
-        pools.append(best_of)
-    s0, s1, s2, s3 = pools
-    best: tuple[float, str] | None = None
-    # Sorted scan with a strict comparison: among equal totals the
-    # lexicographically smallest tag, seen first, is kept.
-    for tag, (g0, g1, g2, g3) in schema._valid_inventory:
-        if g0 in s0 and g1 in s1 and g2 in s2 and g3 in s3:
-            total = s0[g0] + s1[g1] + s2[g2] + s3[g3]
-            if best is None or total > best[0]:
-                best = (total, tag)
-    if best is None:
-        raise NoValidTupleError("no valid tuple from the candidate lists")
-    return best[1]
+    if len(labels) != 4 or len(scores) != 4:
+        raise NoValidTupleError("need four component alphabets and score arrays")
+    index = [{text_to_symbol(label): i for i, label in enumerate(alphabet)}
+             for alphabet in labels]
+    scores = [np.asarray(s, dtype=float) for s in scores]
+    for k, (alphabet, s) in enumerate(zip(labels, scores)):
+        if len(index[k]) != len(alphabet):
+            raise NoValidTupleError("repeated label in component %d" % k)
+        if s.ndim != 2 or s.shape[1] != len(alphabet):
+            raise NoValidTupleError("component %d: scores of shape %r for %d labels"
+                                    % (k, s.shape, len(alphabet)))
+    if len({s.shape[0] for s in scores}) != 1:
+        raise NoValidTupleError("the components score different token counts")
+    if not all(np.isfinite(s).all() for s in scores):
+        raise NoValidTupleError("non-finite component score")
+    tags, columns = [], []  # the formable valid tags and their label columns
+    for tag, symbols in schema._valid_inventory:
+        column = [ix.get(symbol) for ix, symbol in zip(index, symbols)]
+        if None not in column:
+            tags.append(tag)
+            columns.append(column)
+    if not tags:
+        raise NoValidTupleError("no valid tuple from the component labels")
+    # summed left to right; argmax takes the first, smallest, tag on a tie
+    total = sum(s[:, c] for s, c in zip(scores, np.transpose(columns)))
+    return np.array(tags, dtype=object)[total.argmax(axis=1)].tolist()

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy import sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaintag import crf
 from chaintag.corpus import (
@@ -124,6 +125,31 @@ def brute_viterbi(lattice):
         ):
             best_score, best_key, best_y = s, key, list(y)
     return best_y
+
+
+def exact_score(lattice, y):
+    """sequence_score as an exact rational, with no rounding."""
+    return sum(Fraction(lattice.unary[t, j]) for t, j in enumerate(y)) + sum(
+        Fraction(lattice.pairwise[t, i, j]) for t, (i, j) in enumerate(zip(y, y[1:])))
+
+
+def assert_optimal_within_rounding(lattice, path):
+    """Float Viterbi rounds the 2T - 1 terms it sums along each path, so it
+    may break an exact tie, or a near tie, either way.  Each addition moves
+    a sum by at most half an ulp of a partial sum no larger than the path's
+    absolute sum, so a computed path score is off by less than T eps times
+    that sum.  The path it returns then scores, exactly, within twice that
+    of the optimum, and is the optimum whenever the optimum beats every
+    other path by more."""
+    T = lattice.n_positions
+    scores = {y: exact_score(lattice, y) for y in all_sequences(T, lattice.n_labels)}
+    optimum = max(scores, key=scores.get)
+    absolute = T * np.abs(lattice.unary).max() + (T - 1) * np.abs(lattice.pairwise).max(
+        initial=0.0)
+    bound = Fraction(2 * T * np.finfo(float).eps) * Fraction(absolute)
+    assert scores[tuple(path)] >= scores[optimum] - bound
+    if all(scores[optimum] - s > bound for y, s in scores.items() if y != optimum):
+        assert tuple(path) == optimum
 
 
 def log_domain(lattice):
@@ -447,10 +473,13 @@ class TestPackedKernel:
         lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
         n_bigram=st.integers(1, 3),
         n_labels=st.integers(1, 5),
-        scale=st.sampled_from([0.0, 1.0, 1e3]),
+        scale=st.sampled_from([0.0, "integers", 1.0, 1e3]),
         group_tokens=st.sampled_from([None, 1, 3, 10]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # an exact tie between two paths that float sums break either way
+    @example(lengths=[3, 7, 12, 8, 1, 6, 12], n_bigram=1, n_labels=2, scale=1e3,
+             group_tokens=None, seed=8091405)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_sentence_references(
         self, lengths, n_bigram, n_labels, scale, group_tokens, seed
@@ -459,7 +488,8 @@ class TestPackedKernel:
         classes (B1 and B2 read the words), in one group or cut into
         groups every group_tokens tokens.  At scale 1e3 one unigram block
         is pushed to +-5e3, so with two labels or more the scores spread
-        past 690 nats and the log-domain recursion runs."""
+        past 690 nats and the log-domain recursion runs.  Zero and small
+        integer weights sum exactly, so Viterbi's ties are exact there."""
         rng = np.random.default_rng(seed)
         corpus = corpus_of([
             [(str(rng.choice(["a", "b", "c"])), "T%d" % rng.integers(n_labels))
@@ -470,7 +500,10 @@ class TestPackedKernel:
         model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\n" + "\n".join(bigrams))
         d = model.dictionary
         L = d.n_labels
-        weights = scale * rng.uniform(-1, 1, d.n_weights)
+        if scale == "integers":
+            weights = rng.integers(-2, 3, d.n_weights).astype(float)
+        else:
+            weights = scale * rng.uniform(-1, 1, d.n_weights)
         if scale == 1e3:
             block = uni_base(d, d.uni_strings[0])
             weights[block : block + L] = 5e3 * (-1.0) ** np.arange(L)
@@ -510,8 +543,12 @@ class TestPackedKernel:
 
         paths = [loop_viterbi(x) for x in lattices]
         for x, path in zip(lattices, paths):
-            if L ** x.n_positions <= 1000:
+            if L ** x.n_positions > 1000:
+                continue
+            if scale in (0.0, "integers"):
                 assert path == brute_viterbi(x)
+            else:
+                assert_optimal_within_rounding(x, path)
         gold = [[model.labels[y] for y in path] for path in paths]
         with patch.object(crf, "_GROUP_CELL_CAP", cap):
             assert tag(model, corpus) == gold
@@ -741,6 +778,18 @@ class TestTrain:
         assert model.iterations == 0
         assert not model.weights.any()
         assert len(model.trace) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("max_iterations", 3.0), ("max_iterations", "3"),
+        ("max_iterations", -1), ("cutoff", 1.5), ("cutoff", 2.0), ("cutoff", 0),
+    ])
+    def test_config_refuses_counts_that_are_not_integers_in_range(self, field, value):
+        with pytest.raises(TrainingConfigError, match="%s must be an integer" % field):
+            TrainingConfig(**{field: value})
+
+    def test_config_takes_numpy_integer_counts(self):
+        config = TrainingConfig(max_iterations=np.int64(3), cutoff=np.int32(2))
+        assert (config.max_iterations, config.cutoff) == (3, 2)
 
     def test_duplicated_training_set_gives_same_decoder(self):
         templates = parse_templates(default_templates([0]))

@@ -42,11 +42,11 @@ from chaintag.tagschema import (
     bundled_schema,
     decompose,
     project_tag,
-    repair,
     symbol_to_text,
 )
 from chaintag.templates import default_templates, parse_templates
 from test_acceptance import _wide_corpora, _wide_schema
+from test_tagschema import best_by_enumeration
 
 SCHEMA3 = ColumnSchema(("mot", "lemme", "tag"))
 FAST = TrainingConfig(max_iterations=30)
@@ -127,6 +127,11 @@ def test_spec_validation():
         PipelineSpec("custom", "direct", recipe, recombination="rules")
     with pytest.raises(PipelineConfigError):
         PipelineSpec("custom", "direct", recipe, jackknife_folds=1)
+    # the spec file writes these with %d, so a fraction would be misstated
+    with pytest.raises(PipelineConfigError, match="jackknife_folds .* got 2.5"):
+        PipelineSpec("custom", "direct", recipe, jackknife_folds=2.5)
+    with pytest.raises(PipelineConfigError, match="seed .* got 1.5"):
+        PipelineSpec("custom", "direct", recipe, seed=1.5)
     # ids a spec file could not read back
     with pytest.raises(PipelineConfigError, match="unknown pipeline"):
         PipelineSpec("x", "direct", recipe)
@@ -333,13 +338,14 @@ _PROBABILITIES = st.sampled_from([0.0, 1e-320, 0.25, 0.5, 1.0]) | st.floats(0, 1
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_rule_recombination_picks_what_repair_picks(data):
-    """_repair_tags scores every token at once; tagschema.repair, token by
-    token, is its oracle.  Labels are drawn from each component's alphabet
-    in any order, marginals from a few values that tie and from [0, 1]."""
+    """_repair_tags hands the components' log node marginals to repair,
+    whose oracle enumerates the inventory token by token.  Labels are
+    drawn from each component's alphabet in any order, marginals from a
+    few values that tie and from [0, 1]."""
     schema = bundled_schema()
     seeds = data.draw(st.lists(st.sampled_from(schema.l2), max_size=3))
     lengths = data.draw(st.lists(st.integers(1, 4), max_size=4))
-    models, nodes = {}, []
+    models, logs = {}, []
     for k in range(4):
         alphabet = [symbol_to_text(s) for s in schema.components(k)]
         labels = {symbol_to_text(decompose(schema, t).component(k)) for t in seeds}
@@ -347,17 +353,12 @@ def test_rule_recombination_picks_what_repair_picks(data):
         labels = data.draw(st.permutations(sorted(labels)))
         size = sum(lengths) * len(labels)
         node = np.array(data.draw(st.lists(_PROBABILITIES, min_size=size, max_size=size)))
-        nodes.append(node.reshape(-1, len(labels)))
+        node = node.reshape(-1, len(labels))
+        logs.append(np.log(np.maximum(node, 1e-300)))
         models["G%d" % k] = SimpleNamespace(labels=tuple(labels), sentences=np.split(
-            nodes[-1], np.cumsum(lengths[:-1])) if lengths else [])
-    expected = []
-    for rows in zip(*nodes):
-        try:
-            expected.append(repair(schema, [
-                list(zip(models["G%d" % k].labels, np.log(np.maximum(row, 1e-300))))
-                for k, row in enumerate(rows)]))
-        except NoValidTupleError:
-            expected.append(None)
+            node, np.cumsum(lengths[:-1])) if lengths else [])
+    labels = [models["G%d" % k].labels for k in range(4)]
+    expected = [best_by_enumeration(schema, labels, row) for row in zip(*logs)]
     shared_index = object()  # the test view's index, which every component gets
 
     def component_marginals(model, view, index):
@@ -424,8 +425,15 @@ def test_jackknife_clamps_folds_to_the_sentence_count():
 
 def test_jackknife_needs_two_sentences():
     view = jackknife_view(SENTENCE_A)
-    with pytest.raises(PipelineConfigError):
+    with pytest.raises(PipelineConfigError, match="at least 2 sentences, got 1"):
         jackknife_stage_features(view, FAST, k=5, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 0, 2.5, 3.0])
+def test_jackknife_needs_an_integer_of_at_least_two_folds(k):
+    view = jackknife_view(SENTENCE_A, SENTENCE_B, SENTENCE_C)
+    with pytest.raises(PipelineConfigError, match="at least 2 folds, got %r" % k):
+        jackknife_stage_features(view, FAST, k=k, seed=0)
 
 
 def test_jackknife_is_deterministic():

@@ -1,8 +1,10 @@
 """Tagset algebra: schema parsing, projection, decomposition, repair."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -168,88 +170,139 @@ class TestValidation:
         assert not validate_combination(schema, ComponentTag("DET", "M", "S", "INF"))
 
 
+def best_by_enumeration(schema, labels, row):
+    """The oracle of repair for one token: the valid tag with the highest
+    score sum, smallest first on a tie, or None.  It enumerates every
+    declared tag and every way to score its four components from the
+    alphabets labels, whose scores are the token's rows row[k]."""
+    best = None
+    for tag, ct in schema.decomposition.items():
+        if not all(rule.passes(ct) for rule in schema.rules):
+            continue
+        entries = [
+            [v for label, v in zip(labels[k], row[k]) if text_to_symbol(label) == ct.component(k)]
+            for k in range(4)
+        ]
+        for combo in itertools.product(*entries):
+            total = sum(combo)
+            if best is None or total > best[0] or (total == best[0] and tag < best[1]):
+                best = (total, tag)
+    return None if best is None else best[1]
+
+
+def repair_one(schema, pools):
+    """repair of one token whose component k scores pools[k], a dict from
+    label to score."""
+    labels = [list(pool) for pool in pools]
+    scores = [np.array([list(pool.values())], dtype=float) for pool in pools]
+    return repair(schema, labels, scores)[0]
+
+
 class TestRepair:
     def test_valid_top_choices_win_directly(self, schema):
-        out = repair(schema, [
-            [("N", 2.0), ("V", 1.0)],
-            [("F", 1.5), ("M", 1.0)],
-            [("S", 0.5)],
-            [("EPS", 0.1)],
+        out = repair_one(schema, [
+            {"N": 2.0, "V": 1.0}, {"F": 1.5, "M": 1.0}, {"S": 0.5}, {"EPS": 0.1},
         ])
         assert out == "NFS"
 
     def test_falls_back_when_top_choices_clash(self, schema):
-        out = repair(schema, [
-            [("ADV", 5.0), ("N", 1.0)],
-            [("M", 1.0), ("EPS", 0.5)],
-            [("EPS", 0.5)],
-            [("EPS", 0.5)],
+        out = repair_one(schema, [
+            {"ADV": 5.0, "N": 1.0}, {"M": 1.0, "EPS": 0.5}, {"EPS": 0.5}, {"EPS": 0.5},
         ])
         assert out == "ADV"
 
     def test_jointly_invalid_singletons_fail(self, schema):
         with pytest.raises(NoValidTupleError):
-            repair(schema, [
-                [("ADV", 1.0)], [("M", 1.0)], [("P", 1.0)], [("PER", 1.0)],
-            ])
+            repair_one(schema, [{"ADV": 1.0}, {"M": 1.0}, {"P": 1.0}, {"PER": 1.0}])
 
-    def test_empty_pool_fails(self, schema):
+    def test_empty_alphabet_fails(self, schema):
         with pytest.raises(NoValidTupleError):
-            repair(schema, [[("N", 1.0)], [], [("S", 1.0)], [("EPS", 1.0)]])
+            repair_one(schema, [{"N": 1.0}, {}, {"S": 1.0}, {"EPS": 1.0}])
 
-    def test_non_finite_score_fails(self, schema):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_fails(self, schema, bad):
         with pytest.raises(NoValidTupleError):
-            repair(schema, [
-                [("N", float("nan"))], [("F", 1.0)], [("S", 1.0)], [("EPS", 1.0)],
-            ])
+            repair_one(schema, [{"N": bad}, {"F": 1.0}, {"S": 1.0}, {"EPS": 1.0}])
 
     def test_tie_breaks_to_lexicographically_smallest_tag(self, schema):
-        out = repair(schema, [
-            [("N", 1.0), ("ADJ", 1.0)],
-            [("F", 1.0), ("M", 1.0)],
-            [("S", 1.0), ("P", 1.0)],
-            [("EPS", 1.0)],
+        out = repair_one(schema, [
+            {"N": 1.0, "ADJ": 1.0}, {"F": 1.0, "M": 1.0}, {"S": 1.0, "P": 1.0},
+            {"EPS": 1.0},
         ])
         assert out == "ADJFP"
 
+    def test_symbols_outside_the_schema_are_never_picked(self, schema):
+        out = repair_one(schema, [
+            {"ZZ": 9.0, "N": 0.0}, {"F": 0.0, "ZZ": 9.0}, {"S": 0.0}, {"EPS": 0.0, "ZZ": 9.0},
+        ])
+        assert out == "NFS"
+        with pytest.raises(NoValidTupleError):
+            repair_one(schema, [{"ZZ": 0.0}, {"EPS": 0.0}, {"EPS": 0.0}, {"EPS": 0.0}])
+
+    def test_scores_every_token_of_a_batch(self, schema):
+        labels = [["V", "N"], ["EPS", "F"], ["S", "EPS"], ["EPS"]]
+        scores = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1))]
+        # no V tag is formable; the second token ties N with NFS
+        assert repair(schema, labels, scores) == ["NFS", "N"]
+
+    def test_no_tokens_give_no_tags(self, schema):
+        labels = [["N"], ["F"], ["S"], ["EPS"]]
+        assert repair(schema, labels, [np.zeros((0, 1))] * 4) == []
+
+    @pytest.mark.parametrize("labels, scores", [
+        # three components
+        ([["N"], ["F"], ["S"]], [np.zeros((1, 1))] * 3),
+        # a score array short of one component
+        ([["N"], ["F"], ["S"], ["EPS"]], [np.zeros((1, 1))] * 3),
+        # a repeated label, also as the two spellings of the empty symbol
+        ([["N", "N"], ["F"], ["S"], ["EPS"]],
+         [np.zeros((1, 2))] + [np.zeros((1, 1))] * 3),
+        ([["N"], ["F"], ["S"], ["EPS", ""]],
+         [np.zeros((1, 1))] * 3 + [np.zeros((1, 2))]),
+        # columns that do not match the alphabet, and a 1-D array
+        ([["N"], ["F"], ["S"], ["EPS"]],
+         [np.zeros((1, 2))] + [np.zeros((1, 1))] * 3),
+        ([["N"], ["F"], ["S"], ["EPS"]], [np.zeros(1)] + [np.zeros((1, 1))] * 3),
+        # token counts that differ between components
+        ([["N"], ["F"], ["S"], ["EPS"]],
+         [np.zeros((1, 1))] * 3 + [np.zeros((2, 1))]),
+    ])
+    def test_refuses_malformed_input(self, schema, labels, scores):
+        with pytest.raises(NoValidTupleError):
+            repair(schema, labels, scores)
+
     @given(st.integers(min_value=0, max_value=10_000))
     def test_matches_brute_force_over_the_inventory(self, seed):
-        # Pools are random subsets of each alphabet, may repeat a symbol
-        # with different scores or name one outside the schema, and half
-        # the time draw scores from a small set so that totals tie.
+        # Alphabets are random subsets of each component's alphabet in any
+        # order, sometimes with a symbol outside the schema, over 0 to 4
+        # tokens; half the time scores come from a small set so that
+        # totals tie.
         schema = bundled_schema()
         rng = random.Random(seed)
         tied = rng.random() < 0.5
+        n_tokens = rng.randrange(5)
 
         def score():
             return rng.choice((-1.0, 0.0, 0.5)) if tied else rng.uniform(-2, 2)
 
-        pools = []
+        labels = []
         for k in range(4):
-            pool = []
-            for symbol in schema.components(k):
-                if rng.random() < 0.8:
-                    for _ in range(rng.choice((1, 1, 2))):
-                        pool.append(("EPS" if symbol == EPS else symbol, score()))
+            alphabet = ["EPS" if s == EPS else s for s in schema.components(k)
+                        if rng.random() < 0.8]
             if rng.random() < 0.3:
-                pool.append(("ZZ", score()))
-            rng.shuffle(pool)
-            pools.append(pool)
-        best = None
-        for tag, ct in schema.decomposition.items():
-            entries = [
-                [v for symbol, v in pools[k] if text_to_symbol(symbol) == ct.component(k)]
-                for k in range(4)
-            ]
-            for combo in itertools.product(*entries):
-                total = sum(combo)
-                if best is None or total > best[0] or (total == best[0] and tag < best[1]):
-                    best = (total, tag)
-        if best is None:
+                alphabet.append("ZZ")
+            rng.shuffle(alphabet)
+            labels.append(alphabet)
+        scores = [np.array([[score() for _ in alphabet] for _ in range(n_tokens)])
+                  .reshape(n_tokens, len(alphabet)) for alphabet in labels]
+        # whether any valid tag is formable does not depend on the scores
+        if best_by_enumeration(schema, labels, [[0.0] * len(a) for a in labels]) is None:
             with pytest.raises(NoValidTupleError):
-                repair(schema, pools)
+                repair(schema, labels, scores)
         else:
-            assert repair(schema, pools) == best[1]
+            expected = [best_by_enumeration(schema, labels, row) for row in zip(*scores)]
+            assert repair(schema, labels, scores) == expected
 
     def test_never_returns_a_declared_tag_that_violates_a_rule(self):
         # Built directly, so parse_schema's rule check never sees NMS.
@@ -266,10 +319,11 @@ class TestRepair:
                 frozenset({"N"}), (RuleClause(1, "forbid", frozenset({"M"})),)
             ),),
         )
-        pools = [[("N", 0.0)], [("M", 5.0), ("F", -5.0)], [("S", 0.0)], [("EPS", 0.0)]]
-        assert repair(schema, pools) == "NFS"
+        pools = [{"N": 0.0}, {"M": 5.0, "F": -5.0}, {"S": 0.0}, {"EPS": 0.0}]
+        assert repair_one(schema, pools) == "NFS"
         with pytest.raises(NoValidTupleError):
-            repair(schema, [[("N", 0.0)], [("M", 5.0)], [("S", 0.0)], [("EPS", 0.0)]])
+            repair_one(schema, [{"N": 0.0}, {"M": 5.0}, {"S": 0.0}, {"EPS": 0.0}])
+
 
 TOY = """\
 [L0]
