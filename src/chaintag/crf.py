@@ -36,12 +36,13 @@ reference the tests compare against.
 Training maximizes the L2-regularized conditional log-likelihood, whose
 value and gradient are exact, with the L-BFGS of ``minimize``: the
 two-loop recursion over the last 10 steps (Liu & Nocedal 1989, as in
-liblbfgs and CRFsuite), run with in-place level-1 BLAS on preallocated
-step and gradient-change rows, and a Moré–Thuente-style line search for
-a step meeting the strong Wolfe conditions.  Its constants and stopping
-tests are L-BFGS-B's.  Training is deterministic for fixed inputs, and
-the model keeps the objective trace, the number of objective calls and
-the optimizer's stop reason.
+liblbfgs and CRFsuite), run on the coefficients of the preallocated step
+and gradient-change rows as vector-free L-BFGS does, so an iteration's
+vector work is seven of numpy's matrix-vector products, and a
+Moré–Thuente-style line search for a step meeting the strong Wolfe
+conditions.  Its constants and stopping tests are L-BFGS-B's.  Training
+is deterministic for fixed inputs, and the model keeps the objective
+trace, the number of objective calls and the optimizer's stop reason.
 
 The data term of the log-likelihood is read off the scores: each
 token's unary score at its gold label, plus each class's gold label-pair
@@ -70,15 +71,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from numbers import Integral
+from operator import mul
 from sys import float_info
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-# OpenBLAS's daxpy rounds y + a x once per entry (fused multiply-add) and
-# is ~2x as fast as numpy's y += a * x at 400k entries, which rounds ~21%
-# of entries differently and so would move every trained model.
-from scipy.linalg.blas import daxpy, ddot
 
 from .corpus import Corpus
 from .errors import (
@@ -549,7 +547,9 @@ def _likelihood(unary: np.ndarray, P: np.ndarray, a: np.ndarray, b: np.ndarray,
     rows = np.arange(len(node))
     # einsum's own loop, not BLAS ddot: OpenBLAS runs a long ddot on
     # several threads that then spin, slowing the optimizer's work between
-    # calls (on two cores, pipeline VIII's training took ~1.8x as long).
+    # calls: with np.dot, pipeline VIII's training took ~10% longer on two
+    # cores at the default thread count (medians of 4 runs, 0.44 s against
+    # 0.40 s, c08's corpus), and as long at one thread.
     value = float(unary[rows, enc.gold].sum() + np.einsum("kij,kij->", enc.gold_pairs, P)
                   - log_z - np.einsum("i,i->", a, b) / (2.0 * sigma * sigma))
     return value, node, expected
@@ -637,11 +637,12 @@ UNCONVERGED = ("max_iterations", "line search")
 def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
     """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
     directions from the last 10 steps by the two-loop recursion (Liu &
-    Nocedal 1989).  Stops as L-BFGS-B does: "converged" once a step lowers
-    the value by at most tolerance * max(|old|, |new|, 1), or once rounding
-    hides any decrease along the search direction; "gradient" once no
-    gradient entry exceeds 1e-9; "max_iterations"; or "line search" when no
-    step is found for any other reason.
+    Nocedal 1989), run on their dot products (see _two_loop).  Stops as
+    L-BFGS-B does: "converged" once a step lowers the value by at most
+    tolerance * max(|old|, |new|, 1), or once rounding hides any decrease
+    along the search direction; "gradient" once no gradient entry exceeds
+    1e-9; "max_iterations"; or "line search" when no step is found for any
+    other reason.
     callback(x, value) sees x0 and each accepted point.  Returns the point,
     the number of steps, the number of calls of fun and the stop reason.
 
@@ -650,9 +651,9 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
     G = B'B, and fun must return coordinates g of the gradient B g.  Every
     dot product is the images' one, <B a, B b> = <a, G b>, so the steps are
     those taken on the images.  Each step and gradient change is kept
-    beside its Gram image (G s is the step times G d, and G d follows d
-    through the recursion), and the "gradient" stop tests the entries of
-    B g.  The point's Gram image is carried too: G x0 once, then each
+    beside its Gram image (G s is the step times G d, and G d is formed
+    from the same coefficients as d), and the "gradient" stop tests the
+    entries of B g.  The point's Gram image is carried too: G x0 once, then each
     trial point's is G x plus the step times G d, and fun is called as
     fun(x, G x).  Without images, G is the identity, each vector is its
     own Gram image, and fun is called as fun(x)."""
@@ -667,10 +668,12 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
     g_largest, g_gram = image(g)
     if callback is not None:
         callback(x, f)
-    # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images
+    # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images, and
+    # SY[i, j] = <s_i, y_j> and YY[i, j] = <y_i, y_j>, each a row against
+    # the other's image
     rows = 1 if images is None else 2
     S, Y = np.empty((_MEMORY, rows, x.size)), np.empty((_MEMORY, rows, x.size))
-    rho, alpha = np.empty(_MEMORY), np.empty(_MEMORY)
+    SY, YY = np.empty((_MEMORY, _MEMORY)), np.empty((_MEMORY, _MEMORY))
     for iteration in itertools.count():
         if g_largest <= _GRADIENT_TOLERANCE:
             return x, iteration, calls, "gradient"
@@ -678,17 +681,15 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
             return x, iteration, calls, "converged"
         if iteration == max_iterations:
             return x, iteration, calls, "max_iterations"
-        D = -np.array([g, g_gram][:rows])  # the direction and its Gram image
-        newest = range(iteration - 1, max(iteration - _MEMORY, 0) - 1, -1)
-        slots = [i % _MEMORY for i in newest]
-        for k in slots:
-            alpha[k] = rho[k] * ddot(S[k, -1], D[0])
-            daxpy(Y[k].ravel(), D.ravel(), a=-alpha[k])
-        if slots:  # scale by s'y / y'y of the newest pair
-            D *= 1.0 / (rho[slots[0]] * ddot(Y[slots[0], -1], Y[slots[0], 0]))
-        for k in reversed(slots):
-            daxpy(S[k].ravel(), D.ravel(), a=alpha[k] - rho[k] * ddot(Y[k, -1], D[0]))
-        step = 1.0 if iteration else 1.0 / np.sqrt(ddot(g, g_gram))
+        filled = min(iteration, _MEMORY)
+        newest = [i % _MEMORY for i in range(iteration - 1, iteration - filled - 1, -1)]
+        sg, yg = S[:filled, -1] @ g, Y[:filled, -1] @ g
+        alpha, beta, gamma = _two_loop(newest, sg, yg, SY, YY)
+        D = -gamma * np.array([g, g_gram][:rows])  # the direction and its Gram image
+        if filled:  # plus one product over the steps and one over the changes
+            D += (beta @ S[:filled].reshape(filled, -1)).reshape(rows, -1)
+            D -= (gamma * alpha @ Y[:filled].reshape(filled, -1)).reshape(rows, -1)
+        step = 1.0 if iteration else 1.0 / np.sqrt(g @ g_gram)
         step, point, point_gram, f_new, g_new, trials = _line_search(
             fun, x, x_gram, f, g, D[0], D[-1], step)
         calls += trials
@@ -696,17 +697,48 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
             return x, iteration, calls, "line search"
         if point is x:
             return x, iteration, calls, "converged"
-        k = iteration % _MEMORY
+        k, filled = iteration % _MEMORY, min(iteration + 1, _MEMORY)
         g_largest, gram_new = image(g_new)
         np.subtract(point, x, out=S[k, 0])
         np.subtract(g_new, g, out=Y[k, 0])
         if images is not None:
             np.multiply(D[-1], step, out=S[k, -1])
             np.subtract(gram_new, g_gram, out=Y[k, -1])
-        rho[k] = 1.0 / ddot(Y[k, -1], S[k, 0])  # s'y > 0 on a strictly convex fun
+        SY[:filled, k] = S[:filled, -1] @ Y[k, 0]
+        YY[:filled, k] = YY[k, :filled] = Y[:filled, -1] @ Y[k, 0]
+        SY[k, :filled] = Y[:filled, -1] @ S[k, 0]  # s'y > 0 on a strictly convex fun
         x, x_gram, f_old, f, g, g_gram = point, point_gram, f, f_new, g_new, gram_new
         if callback is not None:
             callback(x, f)
+
+
+def _two_loop(newest, sg, yg, SY, YY):
+    """The two-loop recursion (Liu & Nocedal 1989) on coefficients, as
+    vector-free L-BFGS runs it (Chen, Wang, Zhou & Burges 2014).  The
+    direction is d = gamma (-g - sum alpha_i y_i) + sum beta_i s_i, so each
+    <s_i, d> and <y_i, d> the recursion reads is a sum of coefficients
+    times the dot products sg (<s_i, g>), yg (<y_i, g>), SY and YY.
+    newest lists the filled slots, newest first.  Returns each slot's alpha
+    and beta, and gamma, s'y / y'y of the newest pair."""
+    if not newest:
+        return np.empty(0), np.empty(0), 1.0
+    # Python floats in the recursion's order, newest pair first
+    order = np.array(newest)
+    sy = SY.take(order, 0).take(order, 1)
+    sy_rows, yy_rows = sy.tolist(), YY.take(order, 0).take(order, 1).tolist()
+    sg, yg = sg.take(order).tolist(), yg.take(order).tolist()
+    rho = [1.0 / row[i] for i, row in enumerate(sy_rows)]
+    alpha = []  # newest first: rho_i <s_i, d>, d = -g - sum of the newer alpha_j y_j
+    for i, row in enumerate(sy_rows):
+        alpha.append(rho[i] * (-sg[i] - sum(map(mul, alpha, row))))
+    gamma = 1.0 / (rho[0] * yy_rows[0][0])
+    beta = []  # oldest first: alpha_i - rho_i <y_i, d>, d = gamma (...) + older beta_j s_j
+    for i, column in zip(range(len(order) - 1, -1, -1), sy.T[::-1, ::-1].tolist()):
+        y_d = gamma * (-yg[i] - sum(map(mul, alpha, yy_rows[i]))) + sum(map(mul, beta, column))
+        beta.append(alpha[i] - rho[i] * y_d)
+    in_slots = np.empty((2, len(order)))
+    in_slots[0, order], in_slots[1, order[::-1]] = alpha, beta
+    return in_slots[0], in_slots[1], gamma
 
 
 def _line_search(fun, x, x_gram, f0, g0, d, d_gram, step):
@@ -720,17 +752,19 @@ def _line_search(fun, x, x_gram, f0, g0, d, d_gram, step):
     When 20 trials find no such step, or rounding leaves none to try, the
     point is x if rounding hides any decrease left in the bracket, and
     None otherwise."""
-    slope0 = ddot(g0, d_gram)
+    slope0 = g0 @ d_gram
     lo, hi = (0.0, f0, slope0), None  # (step, value, slope); lo is lowest
     step = np.float64(step)
     for trial in range(1, _MAX_TRIALS + 1):
-        point = daxpy(d, x.copy(), a=step)
+        point = d * step
+        point += x
         if x_gram is None:
             point_gram, (f, g) = None, fun(point)
         else:
-            point_gram = daxpy(d_gram, x_gram.copy(), a=step)
+            point_gram = d_gram * step
+            point_gram += x_gram
             f, g = fun(point, point_gram)
-        now = (step, f, ddot(g, d_gram))
+        now = (step, f, g @ d_gram)
         decreased = f <= f0 + _C1 * step * slope0
         if decreased and abs(now[2]) <= -_C2 * slope0:
             return step, point, point_gram, f, g, trial

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, drop_column, select_sentences
-from .errors import LengthMismatchError, TooFewSentencesError
+from .errors import LengthMismatchError, PipelineConfigError, TooFewSentencesError
 from .tagschema import TagSchema, decompose, format_schema, project_tag
 from .templates import template_hash
 
@@ -45,6 +46,9 @@ class FoldAssignment:
 
 def kfold_split(corpus: Corpus, k: int, seed: int) -> FoldAssignment:
     """Deterministic sentence-level partition into k folds."""
+    for name, value in (("the number of folds", k), ("the seed", seed)):
+        if not isinstance(value, Integral):
+            raise PipelineConfigError("%s must be an integer, got %r" % (name, value))
     n = corpus.n_sentences
     if k < 2:
         raise TooFewSentencesError("need at least 2 folds, got %d" % k)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -854,6 +856,23 @@ def quadratic(A, b):
     return lambda x: (float(x @ A @ x / 2 - b @ x), A @ x - b)
 
 
+def two_loop_oracle(g, pairs, G):
+    """The textbook two-loop recursion (Nocedal & Wright, Algorithm 7.4)
+    in the inner product <a, b> = a'Gb: the L-BFGS direction -Hg from the
+    pairs (s, y), oldest first, with H0 the newest pair's s'y / y'y."""
+    dot = lambda a, b: a @ G @ b
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alphas.append(dot(s, q) / dot(y, s))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q *= dot(s, y) / dot(y, y)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - dot(y, q) / dot(y, s)) * s
+    return -q
+
+
 def images_under(B):
     """minimize's images for the basis B, a matrix: the largest entry of
     B v in size, and B'B v."""
@@ -935,22 +954,95 @@ class TestMinimize:
         for x, z in zip(on_x, on_z):
             assert np.abs(B @ z - x).max() <= 1e-6 * (1 + np.abs(x).max())
 
-    @pytest.mark.parametrize("seed", [978, 1568, 2800])
-    def test_a_search_that_rounding_stops_at_the_minimum_is_converged(self, seed):
-        """Near the minimum of these quadratics no trial step lowers the
-        value by more than its rounding: that is convergence, not a failed
-        line search."""
+    @staticmethod
+    def random_quadratic(seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         log_condition = rng.uniform(0, 4)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         A = Q @ np.diag(np.logspace(0, log_condition, n)) @ Q.T
         b = rng.normal(size=n) * 10
+        return A, b, rng.normal(size=n)
+
+    @pytest.mark.parametrize("seed", [2800, 3502])
+    def test_a_search_that_rounding_stops_at_the_minimum_is_converged(self, seed, monkeypatch):
+        """Near the minimum of these quadratics no trial step lowers the
+        value by more than its rounding: the line search returns the point
+        it started from, and that is convergence, not a failed search."""
+        returned_the_start = []
+        search = crf._line_search
+
+        def recording(fun, x, *rest):
+            result = search(fun, x, *rest)
+            returned_the_start.append(result[1] is x)
+            return result
+
+        monkeypatch.setattr(crf, "_line_search", recording)
+        A, b, x0 = self.random_quadratic(seed)
         fun = quadratic(A, b)
-        x, _, _, stop = minimize(fun, rng.normal(size=n), 200, 1e-8)
-        assert stop == "converged"
+        x, _, _, stop = minimize(fun, x0, 200, 1e-8)
+        assert stop == "converged" and returned_the_start[-1]
         lowest = fun(np.linalg.solve(A, b))[0]
         assert fun(x)[0] - lowest <= 1e-12 * abs(lowest)
+
+    @pytest.mark.parametrize("seed", [978, 1568])
+    def test_a_search_that_ends_at_the_minimum_is_a_success(self, seed):
+        A, b, x0 = self.random_quadratic(seed)
+        fun = quadratic(A, b)
+        x, _, _, stop = minimize(fun, x0, 200, 1e-8)
+        assert stop not in UNCONVERGED
+        lowest = fun(np.linalg.solve(A, b))[0]
+        assert fun(x)[0] - lowest <= 1e-12 * abs(lowest)
+
+    @given(seed=st.integers(0, 2**32 - 1), basis=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_the_direction_is_the_textbook_two_loop_recursions(self, seed, basis):
+        """minimize forms its direction from dot products; it must be the
+        textbook recursion's on the same pairs, within rounding, before and
+        after the 10-pair history wraps.  Under a basis B the inner product
+        is <a, b> = a'B'Bb, and the direction comes with its Gram image."""
+        rng = np.random.default_rng(seed)
+        k = 16
+        B = rng.normal(size=(24, k)) if basis else np.eye(k)
+        G = B.T @ B
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        H = Q @ np.diag(np.logspace(0, 2, k)) @ Q.T
+        c = rng.normal(size=k) * 10
+
+        def coordinates(z, gram=None):  # f(B z) = (B'B z)'H(B'B z) / 2 + |B z|^2 / 20 - c'B'B z
+            gram = G @ z if gram is None else gram
+            return float(gram @ H @ gram / 2 + z @ gram / 20 - c @ gram), H @ gram + z / 10 - c
+
+        searches = []
+        search = crf._line_search
+
+        def recording(fun, x, x_gram, f0, g0, d, d_gram, step):
+            searches.append((x, g0, d.copy(), d_gram.copy()))
+            return search(fun, x, x_gram, f0, g0, d, d_gram, step)
+
+        with patch.object(crf, "_line_search", recording):
+            minimize(coordinates, rng.normal(size=k), 14, 1e-15,
+                     images=images_under(B) if basis else None)
+        assert len(searches) > crf._MEMORY + 1
+        pairs = [(x1 - x0, g1 - g0)
+                 for (x0, g0, _, _), (x1, g1, _, _) in zip(searches, searches[1:])]
+        for t, (_, g, d, d_gram) in enumerate(searches):
+            expected = two_loop_oracle(g, pairs[max(0, t - crf._MEMORY) : t], G)
+            scale = np.abs(expected).max()
+            assert np.abs(d - expected).max() <= 1e-11 * scale
+            scale *= np.abs(G).sum(axis=1).max()
+            assert np.abs(d_gram - G @ expected).max() <= 1e-11 * scale
+
+    def test_importing_the_package_maps_only_numpys_blas(self):
+        """scipy.linalg would map scipy's own OpenBLAS beside numpy's, with
+        a second thread pool; the optimizer needs numpy's dot products only."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, chaintag; print(sorted(sys.modules))"],
+            capture_output=True, text=True, check=True,
+        )
+        modules = eval(proc.stdout)
+        assert "scipy.sparse" in modules
+        assert not [m for m in modules if m.startswith("scipy.linalg")]
 
     @given(
         seed=st.integers(0, 2**32 - 1),

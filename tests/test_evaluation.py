@@ -1,5 +1,7 @@
 """Tests for fold assignment, scoring, and cross-validation reports."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from chaintag.corpus import ColumnSchema, parse_corpus, select_sentences
 from chaintag.crf import TrainingConfig
 from chaintag.errors import (
     LengthMismatchError,
+    PipelineConfigError,
     TooFewSentencesError,
     UndecomposableTagError,
 )
@@ -75,6 +78,19 @@ def test_kfold_rejects_degenerate_requests():
         kfold_split(single_token_corpus(3), 1, seed=0)
     with pytest.raises(TooFewSentencesError):
         kfold_split(single_token_corpus(3), 4, seed=0)
+
+
+@pytest.mark.parametrize("k, seed", [(2.5, 0), (2, 1.5), ("2", 0), (2, None)])
+def test_kfold_refuses_counts_and_seeds_that_are_not_integers(k, seed):
+    bad = k if seed == 0 else seed
+    with pytest.raises(PipelineConfigError, match="got %s$" % re.escape(repr(bad))):
+        kfold_split(single_token_corpus(3), k, seed)
+
+
+def test_cross_validation_refuses_a_seed_it_would_round():
+    """The report writes the seed with %d: 1.5 would read back as 1."""
+    with pytest.raises(PipelineConfigError, match="got 1.5$"):
+        cross_validate(fast_spec(), cv_corpus(), k=2, seed=1.5)
 
 
 @settings(max_examples=30, deadline=None)
