@@ -987,10 +987,12 @@ class TestMinimize:
 
     @pytest.mark.parametrize("seed", [978, 1568])
     def test_a_search_that_ends_at_the_minimum_is_a_success(self, seed):
+        """These quadratics end on a step whose decrease is within the
+        tolerance, next to the minimum."""
         A, b, x0 = self.random_quadratic(seed)
         fun = quadratic(A, b)
         x, _, _, stop = minimize(fun, x0, 200, 1e-8)
-        assert stop not in UNCONVERGED
+        assert stop == "converged"
         lowest = fun(np.linalg.solve(A, b))[0]
         assert fun(x)[0] - lowest <= 1e-12 * abs(lowest)
 
