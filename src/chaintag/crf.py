@@ -49,21 +49,22 @@ token's unary score at its gold label, plus each class's gold label-pair
 counts times its matrix.  Its gradient is gold minus expected
 statistics: A'R with R = onehot(gold) - node marginals per token, A the
 activations (tokens x unigram strings), and T'(gold - expected pair
-counts per class), T the classes' bigram strings.  Training starts at
-zero weights, and the prior adds -A'Z / sigma^2 to A'R when the unigram
-weights are A'Z, so every iterate's unigram block is A'Z for some Z
-(tokens x labels), the representer theorem's form.  When a corpus has
-fewer tokens than unigram strings, L-BFGS runs on Z and the bigram
-weights, under the inner product of the weights they stand for
-(``minimize``'s basis): the same iterates, with a history of tokens x
-labels numbers per step instead of strings x labels.  The optimizer
-carries each point's Gram image (AA'Z and the bigram weights), whose
-token block is the unary scores, so an objective call there reads its
-scores and prior off that image and forms no weight vector.  That image
-and the final weights A'Z are formed a block of Z's label columns at a
-time, bit for bit the whole products, so training holds no array as long
-as the weights but the model's own.  Viterbi overwrites the unary scores
-it is given and keeps one-byte back-pointers up to 256 labels.
+counts per class), T the classes' bigram strings.  From zero weights,
+the prior adds -A'Z / sigma^2 to A'R when the unigram weights are A'Z,
+so every iterate's unigram block is A'Z for some Z (tokens x labels),
+the representer theorem's form.  When a corpus has fewer tokens than
+unigram strings, L-BFGS runs on Z and the bigram weights, under the
+inner product of the weights they stand for (``minimize``'s basis),
+from zero whatever start train is given: the same iterates, with a
+history of tokens x labels numbers per step instead of strings x labels.
+The optimizer carries each point's Gram image (AA'Z and the bigram
+weights), whose token block is the unary scores, so an objective call
+there reads its scores and prior off that image and forms no weight
+vector.  That image and the final weights A'Z are formed a block of Z's
+label columns at a time, bit for bit the whole products, so training
+holds no array as long as the weights but the model's own.  Viterbi
+overwrites the unary scores it is given and keeps one-byte back-pointers
+up to 256 labels.
 """
 
 from __future__ import annotations
@@ -812,20 +813,41 @@ def _cubic(a, b):
     return s + (gamma - ga + theta) / (2.0 * gamma - ga + gb) * (t - s)
 
 
+def _start_weights(start: LinearChainModel, dictionary: FeatureDictionary) -> np.ndarray:
+    """start's weights laid out on dictionary by string and label, 0 where
+    start lacks the string or a label: index -1 reads the zero padding."""
+    old, M = start.dictionary, start.dictionary.n_labels
+    n = len(old.uni_strings) * M
+    uni = np.pad(start.weights[:n].reshape(-1, M), (0, 1))
+    bi = np.pad(start.weights[n:].reshape(-1, M, M), (0, 1))
+    labels = np.array([-1 if i is None else i for i in map(old.label_index, dictionary.labels)])
+    return np.concatenate([
+        uni[old.unigram_rows(dictionary.uni_strings)][:, labels].ravel(),
+        bi[old.bigram_rows(dictionary.bi_strings)][:, labels[:, None], labels].ravel()])
+
+
 def train(
     corpus: Corpus,
     templates: Sequence[FeatureTemplate],
     config: TrainingConfig | None = None,
     index: FeatureIndex | None = None,
+    start: LinearChainModel | None = None,
 ) -> LinearChainModel:
     """Fit weights by L-BFGS on the exact batch objective.
 
     The labels are the last column; templates may only read the columns
-    before it.  max_iterations=0 returns the zero-weight model.  The
+    before it.  max_iterations=0 returns the starting model.  The
     objective at the start and after every accepted step, the number of
     objective calls and the optimizer's stop reason are kept on the model.
     An index of the corpus's observation columns under the templates
     spares their expansion (see fitting_index).
+
+    Training starts at zero, or at a start model's weights mapped by
+    string and label (0 where it lacks one).  The objective is strictly
+    convex, so a start moves only where, within the tolerance, the
+    optimizer stops; one trained on a superset of the corpus saves
+    iterations.  Token coordinates need a start of the form A'Z, so they
+    ignore it (see _TokenBasis).
     """
     config = config or TrainingConfig()
     if corpus.n_tokens == 0:
@@ -851,7 +873,9 @@ def train(
 
     x, iterations, evaluations, stop = minimize(
         fun,
-        np.zeros(dictionary.n_weights if basis is None else basis.shape[1]),
+        np.zeros(basis.shape[1]) if basis is not None
+        else np.zeros(dictionary.n_weights) if start is None
+        else _start_weights(start, dictionary),
         config.max_iterations,
         config.tolerance,
         callback=lambda x, f: trace.append(-f),

@@ -23,7 +23,8 @@ Template expansion depends only on a view's observation columns, so
 stages with the same recipe and input columns share one feature index of
 the training view and one of the test view: the four components of a
 decomposed plan, which differ only in their gold labels, are expanded
-once per corpus.
+once per corpus.  A jackknife gathers its folds' rows from its stage's
+training index and starts each fold at the stage model.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ from .templates import (
     FeatureIndex,
     FeatureTemplate,
     default_templates,
+    fitting_index,
     index_features,
     parse_templates,
+    select_index,
     template_hash,
 )
 
@@ -162,6 +165,7 @@ class StagePrediction:
     stage: str
     values: tuple[str, ...]
     source: str  # "gold" | "predicted" | "jackknifed"
+    stops: tuple[str, ...] = ()  # the jackknife's fold models' stop reasons
 
 
 @dataclass(eq=False)
@@ -209,10 +213,17 @@ def _stage_templates(view: Corpus) -> tuple[tuple[FeatureTemplate, ...], str]:
 
 
 def jackknife_stage_features(
-    view: Corpus, config: TrainingConfig, k: int, seed: int
+    view: Corpus, config: TrainingConfig, k: int, seed: int,
+    start: LinearChainModel | None = None, index: FeatureIndex | None = None,
 ) -> StagePrediction:
     """Predict the view's label column for every training sentence using
-    a model trained on the other internal folds."""
+    a model trained on the other internal folds.
+
+    Each fold starts at start, the stage model trained on the whole view,
+    if given (see train): it has seen the held-out sentences, but the
+    fold's objective has one optimum, so it only saves iterations, and
+    it is discarded with the fold.  The folds' rows are gathered from
+    index, the view's index under its stage templates, if given."""
     if not isinstance(k, Integral) or k < 2:
         raise PipelineConfigError(
             "jackknifing needs an integer of at least 2 folds, got %r" % (k,))
@@ -223,19 +234,20 @@ def jackknife_stage_features(
     label = view.schema.names[-1]
     assignment = kfold_split(view, k, seed)
     templates, _ = _stage_templates(view)
+    index = fitting_index(view, templates, index)
+    observed = select_columns(view, view.schema.names[:-1])
     per_sentence: dict[int, list[str]] = {}
+    stops = []
     for fold in range(k):
-        model = train(
-            select_sentences(view, assignment.train_indices(fold)), templates, config
-        )
-        test_indices = assignment.test_indices(fold)
-        held_out = select_columns(
-            select_sentences(view, test_indices), view.schema.names[:-1]
-        )
-        for index, labels in zip(test_indices, tag(model, held_out)):
-            per_sentence[index] = labels
+        kept, held_out = assignment.train_indices(fold), assignment.test_indices(fold)
+        model = train(select_sentences(view, kept), templates, config,
+                      index=select_index(index, view, kept), start=start)
+        stops.append(model.stop)
+        labels = tag(model, select_sentences(observed, held_out),
+                     index=select_index(index, view, held_out))
+        per_sentence.update(zip(held_out, labels))
     values = _flat(per_sentence[i] for i in range(n))
-    return StagePrediction(label, tuple(values), "jackknifed")
+    return StagePrediction(label, tuple(values), "jackknifed", tuple(stops))
 
 
 def _view(base: Corpus, extra: Sequence[tuple[str, Sequence[str]]]) -> Corpus:
@@ -360,7 +372,8 @@ def run_pipeline(
                     tag(model, observed, index=indexes["train"]))), "predicted")
             else:
                 prediction = jackknife_stage_features(
-                    view, spec.config, spec.jackknife_folds, spec.seed + len(stages))
+                    view, spec.config, spec.jackknife_folds, spec.seed + len(stages),
+                    model, indexes["train"])
         stages[stage.column] = prediction
     if spec.recombination == "rules":  # the plan is the four components
         with _timed(timings, "tag"):

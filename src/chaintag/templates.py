@@ -261,6 +261,29 @@ def fitting_index(
     return index
 
 
+def select_index(index: FeatureIndex, corpus: Corpus, indices) -> FeatureIndex:
+    """The index of select_sentences(corpus, indices), gathered from an
+    index that fits the corpus (see fitting_index): the kept sentences'
+    token and edge rows in the given order, their strings renumbered by
+    first occurrence in the gathered rows, as index_features numbers them."""
+    bounds = corpus.bounds
+    picked = [(i, *bounds[i]) for i in indices]
+    tokens = [row for _, start, end in picked for row in range(start, end)]
+    # the edge ending at token row r of sentence i is edge row r - i - 1
+    edges = [row - i - 1 for i, start, end in picked for row in range(start + 1, end)]
+    uni_strings, uni_ids = _renumbered(index.uni_strings, index.uni_ids[tokens])
+    bi_strings, bi_ids = _renumbered(index.bi_strings, index.bi_ids[edges])
+    return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids)
+
+
+def _renumbered(strings: tuple[str, ...], ids: np.ndarray):
+    """The strings ids use, and ids into them, by first occurrence in ids."""
+    used = list(dict.fromkeys(ids.ravel().tolist()))
+    rank = np.empty(len(strings), dtype=ids.dtype)
+    rank[used] = np.arange(len(used))
+    return tuple(map(strings.__getitem__, used)), rank[ids]
+
+
 def _lookup(strings: tuple[str, ...], ids: np.ndarray) -> list[list[str]]:
     return np.array(strings, dtype=object)[ids].tolist()
 

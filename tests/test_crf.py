@@ -848,6 +848,57 @@ class TestTrain:
         assert len(model.trace) == 2
 
 
+class TestWarmStart:
+    """train's start model: its weights mapped onto the corpus's dictionary
+    by string and label, on the weights only."""
+
+    def test_each_shared_string_and_label_starts_at_the_start_weight(self):
+        templates = parse_templates("U00:%x[0,0]\nB\n")
+        # the start's labels come in another order and add C; "table"
+        # appears only in the corpus
+        wider = corpus_of([[("sel", "N"), ("et", "C"), ("mer", "N")],
+                           [("le", "D"), ("fond", "V")], [("la", "D"), ("mer", "N")]])
+        start = small_model(wider, "U00:%x[0,0]\nB\n")
+        rng = np.random.default_rng(0)
+        start = replace(start, weights=rng.normal(size=start.dictionary.n_weights))
+        corpus = corpus_of([[("le", "D"), ("fond", "V")], [("la", "D"), ("table", "N")]] * 3)
+        model = train(corpus, templates, TrainingConfig(max_iterations=0), start=start)
+        d, old = model.dictionary, start.dictionary
+        assert corpus.n_tokens >= len(d.uni_strings)  # trained on the weights
+        assert d.labels == ("D", "V", "N") != old.labels[:3]
+        assert set(d.labels) < set(old.labels)
+        expected = np.zeros(d.n_weights)
+        for s in d.uni_strings:
+            for a, label in enumerate(d.labels):
+                if uni_base(old, s) is not None:
+                    expected[uni_base(d, s) + a] = start.weights[
+                        uni_base(old, s) + old.label_index(label)]
+        for s in d.bi_strings:
+            for (a, x), (b, y) in itertools.product(enumerate(d.labels), repeat=2):
+                expected[bi_base(d, s) + a * d.n_labels + b] = start.weights[
+                    bi_base(old, s) + old.label_index(x) * old.n_labels + old.label_index(y)]
+        assert "U00:table" in d.uni_strings and "U00:table" not in old.uni_strings
+        assert np.array_equal(model.weights, expected)
+
+    def test_token_coordinates_ignore_the_start(self, monkeypatch):
+        """A start is not of the representer form A'Z, so training on token
+        coordinates starts at zero, bit for bit as without one."""
+        templates = parse_templates(default_templates([0]))
+        config = TrainingConfig(max_iterations=100)
+        start = train(SEPARABLE, templates, config)
+        fold = select_sentences(SEPARABLE, [0, 2, 3])
+        bases = []
+        token_basis = crf._TokenBasis
+        monkeypatch.setattr(crf, "_TokenBasis",
+                            lambda enc: bases.append(1) or token_basis(enc))
+        cold = train(fold, templates, config)
+        warm = train(fold, templates, config, start=start)
+        assert len(bases) == 2
+        assert np.array_equal(warm.weights, cold.weights)
+        assert (warm.trace, warm.iterations, warm.evaluations, warm.stop) == (
+            cold.trace, cold.iterations, cold.evaluations, cold.stop)
+
+
 # --- optimizer --------------------------------------------------------
 
 

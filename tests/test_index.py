@@ -25,6 +25,7 @@ from chaintag.templates import (
     build_dictionary,
     index_features,
     parse_templates,
+    select_index,
 )
 
 SCHEMA = ColumnSchema(("mot", "extra", "tag"))
@@ -260,6 +261,23 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
         built = crf.build_lattice(model, select_sentences(corpus, [i]))
         assert np.array_equal(built.unary, lattice.unary)
         assert np.array_equal(built.pairwise, lattice.pairwise)
+
+
+@given(corpora(), template_sets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_subsets_rows_gathered_from_the_corpus_index_are_its_own_index(
+        corpus, templates, data):
+    """Each sentence is framed by its own sentinels, so the index of any
+    run of its sentences, repeats and any order included, is the corpus
+    index's rows for them, the strings renumbered by first occurrence."""
+    subset = data.draw(st.lists(st.integers(0, corpus.n_sentences - 1), max_size=6))
+    gathered = select_index(index_features(corpus, templates), corpus, subset)
+    own = index_features(select_sentences(corpus, subset), templates)
+    assert gathered.uni_strings == own.uni_strings
+    assert gathered.bi_strings == own.bi_strings
+    for got, expected in ((gathered.uni_ids, own.uni_ids), (gathered.bi_ids, own.bi_ids)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_values_joined_across_a_slash_collide_into_one_string():

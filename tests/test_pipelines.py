@@ -1,6 +1,7 @@
 """Tests for the direct, cascade, and decomposed learning strategies."""
 
 import hashlib
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest.mock import Mock, patch
@@ -15,10 +16,12 @@ from chaintag.corpus import (
     append_column,
     parse_corpus,
     select_columns,
+    select_sentences,
     write_corpus,
 )
-from chaintag.crf import TrainingConfig, train
+from chaintag.crf import UNCONVERGED, TrainingConfig, tag, train
 from chaintag.errors import (
+    LengthMismatchError,
     MissingColumnError,
     NoValidTupleError,
     PipelineConfigError,
@@ -44,8 +47,9 @@ from chaintag.tagschema import (
     project_tag,
     symbol_to_text,
 )
-from chaintag.templates import default_templates, parse_templates
-from test_acceptance import _wide_corpora, _wide_schema
+from chaintag.evaluation import kfold_split
+from chaintag.templates import default_templates, index_features, parse_templates
+from test_acceptance import _cascade_corpus, _wide_corpora, _wide_schema
 from test_tagschema import best_by_enumeration
 
 SCHEMA3 = ColumnSchema(("mot", "lemme", "tag"))
@@ -441,6 +445,73 @@ def test_jackknife_is_deterministic():
     a = jackknife_stage_features(view, FAST, k=2, seed=3)
     b = jackknife_stage_features(view, FAST, k=2, seed=3)
     assert a == b
+
+
+def test_jackknife_refuses_an_index_of_another_view_before_any_gather():
+    view = jackknife_view(SENTENCE_A, SENTENCE_B, SENTENCE_C, SENTENCE_A)
+    templates = parse_templates(default_templates(range(2)))
+    fewer = index_features(jackknife_view(SENTENCE_A, SENTENCE_B), templates)
+    more = index_features(jackknife_view(SENTENCE_A, SENTENCE_B, SENTENCE_C,
+                                         SENTENCE_A, SENTENCE_B), templates)
+    for index in (fewer, more):
+        with patch.object(pipelines, "select_index") as gather, \
+                pytest.raises(LengthMismatchError):
+            jackknife_stage_features(view, FAST, k=2, seed=0, index=index)
+        gather.assert_not_called()
+
+
+# Test c10's corpus and training configuration (test_acceptance.py)
+C10_CONFIG = TrainingConfig(sigma=10.0, max_iterations=80, tolerance=1e-6)
+
+
+def test_jackknifed_stages_keep_each_fold_models_stop():
+    """On c10's corpus each jackknife starts its folds from the stage
+    model and its index, and every fold converges."""
+    rng = random.Random(10)
+    train_c, test_c = _cascade_corpus(300, rng), _cascade_corpus(60, rng)
+    spec = named_pipeline("V", config=C10_CONFIG)
+    with patch.object(pipelines, "jackknife_stage_features",
+                      wraps=pipelines.jackknife_stage_features) as jackknife:
+        result = run_pipeline(spec, train_c, test_c, bundled_schema())
+    assert [call.args[4] for call in jackknife.call_args_list] == [
+        result.models["L0"], result.models["L1"]]
+    assert [s.stage for s in result.stages] == ["ResL0", "ResL01"]
+    for stage in result.stages:
+        assert stage.source == "jackknifed"
+        assert len(stage.stops) == spec.jackknife_folds
+        assert not set(stage.stops) & set(UNCONVERGED)
+    small_train, small_test = train_test_pair(repeats=3)
+    for source in ("gold", "predicted"):
+        spec = named_pipeline("V", config=FAST, stage_source=source)
+        result = run_pipeline(spec, small_train, small_test, bundled_schema())
+        assert [s.stops for s in result.stages] == [(), ()]
+
+
+def test_a_warm_fold_ends_no_lower_than_the_cold_fold():
+    """The stage model has seen each fold's held-out sentences.  A fold
+    started there must end at an objective no lower than the cold fold's,
+    less the optimizer's tolerance, and tag its held-out sentences as the
+    cold fold does, or the start would leak them.  (Either may end above
+    the other: both stop a few tolerances short of the fold's one
+    optimum.)"""
+    corpus = _cascade_corpus(300, random.Random(10))
+    recipe = named_pipeline("V").recipe
+    gold = [project_tag(bundled_schema(), t, "L0") for t in corpus.column("tag")]
+    view = select_columns(append_column(materialize_recipe(corpus, recipe), "L0", gold),
+                          recipe.column_names + ("L0",))
+    templates = parse_templates(default_templates(range(3)))
+    stage = train(view, templates, C10_CONFIG)
+    observed = select_columns(view, recipe.column_names)
+    assignment = kfold_split(view, 5, 0)
+    for fold in range(5):
+        kept = select_sentences(view, assignment.train_indices(fold))
+        cold = train(kept, templates, C10_CONFIG)
+        warm = train(kept, templates, C10_CONFIG, start=stage)
+        assert warm.trace[0] > cold.trace[0] and warm.iterations < cold.iterations
+        f = cold.trace[-1]
+        assert warm.trace[-1] >= f - C10_CONFIG.tolerance * max(abs(f), 1.0)
+        held_out = select_sentences(observed, assignment.test_indices(fold))
+        assert tag(warm, held_out) == tag(cold, held_out)
 
 
 # --- spec files -------------------------------------------------------
