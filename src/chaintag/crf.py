@@ -20,6 +20,12 @@ corpus (cut into groups past _GROUP_CELL_CAP cells, to bound memory).
 Viterbi and forward-backward both run over this layout; viterbi(lattice)
 and forward_backward(lattice) are their one-sentence case.
 
+Of that encoding only the gold labels depend on a model's labels.  The
+rest, a design (layout, activations, transition classes and matrices),
+is built once per feature index, dictionary strings, sentence lengths
+and group cuts, kept read-only beside the index and dropped with it, so
+models that share an index, such as a decomposed plan's, share it.
+
 Forward-backward uses the scaled probability-domain recursion (Sutton &
 McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
 the same).  Each unary row and each transition matrix is exponentiated
@@ -70,6 +76,7 @@ up to 256 labels.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from numbers import Integral
 from operator import mul
@@ -163,8 +170,7 @@ def build_lattice(model: LinearChainModel, corpus: Corpus) -> Lattice:
             "a lattice needs a one-sentence corpus, got %d sentences"
             % corpus.n_sentences
         )
-    enc = _encode(corpus, model.templates, model.dictionary)
-    unary, P = _scores(model.weights, enc)
+    unary, P, enc = _scored(model, corpus)
     return Lattice(unary, P[enc.classes])
 
 
@@ -208,43 +214,40 @@ def viterbi(lattice: Lattice) -> list[int]:
 # --- inference and training ------------------------------------------
 
 
-@dataclass(eq=False)
-class _Encoded:
-    """A corpus folded into index space against a fixed dictionary, in the
-    packed layout.
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """A corpus's strings looked up in a dictionary, in the packed layout.
 
     Sentences are sorted by length, longest first (a stable sort), and cut
     into groups of about _GROUP_CELL_CAP cells, each laid out time-major
-    after the last: step t of group g holds position t of its groups[g][t]
-    sentences longer than t, a prefix of step t-1's rows.  Row r is the
-    token at corpus position packed[r].  Each row past its group's step 0
-    ends an edge; classes holds the edges' transition classes (the tuple of
-    an edge's active bigram rows, whose edges share one transition
-    matrix) in row order.  spans holds each group's rows, edges and sizes.
+    after the last: step t of a group holds position t of its sentences
+    longer than t, a prefix of step t-1's rows.  Row r is the
+    token at corpus position packed[r], so rows[position] is in corpus
+    order.  Each row past its group's step 0 ends an edge; classes holds
+    the edges' transition classes (the tuple of an edge's active bigram
+    rows, whose edges share one transition matrix) in row order.  spans
+    holds each group's rows, edges and sizes (rows at each step).
     """
 
     packed: np.ndarray  # the corpus position of each row
-    groups: list[list[int]]  # rows at each step, per group
+    position: np.ndarray  # the row of each corpus position
+    spans: list[tuple[slice, slice, list[int]]]
     classes: np.ndarray  # transition class of each edge
+    edge_classes: np.ndarray  # the same in corpus edge order
     activations: sparse.csr_matrix  # rows x unigram strings
+    activations_T: sparse.csc_matrix
     transitions: sparse.csr_matrix  # classes x bigram strings, 1 if active
+    transitions_T: sparse.csc_matrix
+
+
+@dataclass(frozen=True, eq=False)
+class _Encoded(_Design):  # a design read by one model
+    n_labels: int
     gold: np.ndarray | None  # the gold label of each row, when labeled
     gold_pairs: np.ndarray | None  # classes x L x L gold edge counts, when labeled
-    n_labels: int
 
-    def __post_init__(self):
-        # scipy builds a new matrix object on every .T
-        self.activations_T = self.activations.T
-        self.transitions_T = self.transitions.T
-        rows = np.cumsum([0] + [sum(sizes) for sizes in self.groups])
-        edges = rows - np.cumsum([0] + [sum(sizes[:1]) for sizes in self.groups])
-        self.spans = [(slice(*rows[g : g + 2]), slice(*edges[g : g + 2]), sizes)
-                      for g, sizes in enumerate(self.groups)]
 
-    def in_corpus_order(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rows)
-        out[self.packed] = rows
-        return out
+_DESIGNS = weakref.WeakKeyDictionary()  # each live index's designs, see _encode
 
 
 def _encode(
@@ -254,15 +257,44 @@ def _encode(
     label_column: int | None = None,
     index: FeatureIndex | None = None,
 ) -> _Encoded:
-    """Fold a corpus into index space; gold labels and each class's gold
-    label-pair counts are taken only when a label column is given.  Only
-    the distinct expanded strings are looked up in the dictionary;
-    transition classes are numbered in order of first occurrence.  A
-    given index must fit the corpus and templates (see fitting_index)."""
+    """The index's design (see _design) for the dictionary's strings, the
+    corpus's lengths and the group cuts, built once per index, with gold
+    labels and pair counts when a label column is given.  A given index
+    must fit the corpus and templates (see fitting_index)."""
     index = fitting_index(corpus, templates, index)
     L = dictionary.n_labels
-    n_tokens = corpus.n_tokens
     lengths = np.asarray(corpus.lengths, dtype=np.intp)
+    # a group starts every _GROUP_CELL_CAP cells of sorted tokens
+    by_length = np.argsort(-lengths, kind="stable")
+    before = np.cumsum(lengths[by_length]) - lengths[by_length]
+    cuts = np.flatnonzero(np.diff(before // max(1, _GROUP_CELL_CAP // L))) + 1
+    key = (dictionary.uni_strings, dictionary.bi_strings, corpus.lengths, cuts.tobytes())
+    designs = _DESIGNS.setdefault(index, {})
+    if key not in designs:
+        designs[key] = _design(index, dictionary, lengths, np.split(by_length, cuts))
+    design = designs[key]
+    y = gold_pairs = None
+    if label_column is not None:
+        labels = corpus.columns[label_column]
+        y = list(map(dictionary.label_index, labels))
+        if None in y:
+            raise UnknownLabelError(
+                "label %r not in the model alphabet" % labels[y.index(None)]
+            )
+        y = np.asarray(y, dtype=np.intp)
+        right = np.delete(np.arange(len(y)), np.cumsum(lengths) - lengths)  # token ending each edge
+        gold_pairs = np.bincount((design.edge_classes * L + y[right - 1]) * L + y[right],
+                                 minlength=design.transitions.shape[0] * L * L).reshape(-1, L, L)
+    return _Encoded(**vars(design), n_labels=L, gold=None if y is None else y[design.packed],
+                    gold_pairs=gold_pairs)
+
+
+def _design(index: FeatureIndex, dictionary: FeatureDictionary, lengths: np.ndarray,
+            groups: list[np.ndarray]) -> _Design:
+    """The index's distinct strings looked up in the dictionary and laid
+    out in the given groups of sentences (see _Design), transition classes
+    numbered by first occurrence; every model encoded from it shares its
+    arrays, so they are read-only."""
     starts = np.cumsum(lengths) - lengths
     uni = dictionary.unigram_rows(index.uni_strings)[index.uni_ids]
     bi = dictionary.bigram_rows(index.bi_strings)[index.bi_ids]
@@ -282,39 +314,31 @@ def _encode(
         (np.ones(len(members)), (members, class_rows[members, member_slots])),
         shape=(len(class_rows), len(dictionary.bi_strings)),
     )
-    y = gold_pairs = None
-    if label_column is not None:
-        labels = corpus.columns[label_column]
-        y = list(map(dictionary.label_index, labels))
-        if None in y:
-            raise UnknownLabelError(
-                "label %r not in the model alphabet" % labels[y.index(None)]
-            )
-        y = np.asarray(y, dtype=np.intp)
-        right = np.delete(np.arange(n_tokens), starts)  # token ending each edge
-        gold_pairs = np.bincount((edge_classes * L + y[right - 1]) * L + y[right],
-                                 minlength=len(class_rows) * L * L).reshape(-1, L, L)
-    # the packed layout, a group starting every _GROUP_CELL_CAP cells of
-    # sorted tokens: row r of a group is token step[r] of sentence group[row[r]]
-    by_length = np.argsort(-lengths, kind="stable")
-    before = np.cumsum(lengths[by_length]) - lengths[by_length]
-    cuts = np.flatnonzero(np.diff(before // max(1, _GROUP_CELL_CAP // L))) + 1
-    packed, edge, groups = [], [], []
-    for group in np.split(by_length, cuts):
+    # row r of a group is token step[r] of sentence group[row[r]]
+    packed, edge, sizes_per_group = [], [], []
+    for group in groups:
         sizes = len(group) - np.cumsum(np.bincount(lengths[group]))[:-1]
         step = np.repeat(np.arange(len(sizes)), sizes)
         row = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         # sentence i's edges start at corpus edge index start_i - i
         packed.append(starts[group[row]] + step)
         edge.append((packed[-1] - group[row] - 1)[len(group):])
-        groups.append(sizes.tolist())
+        sizes_per_group.append(sizes.tolist())
     packed = np.concatenate(packed)
-    position = np.empty(n_tokens, dtype=np.intp)
-    position[packed] = np.arange(n_tokens)
+    position = np.empty(len(packed), dtype=np.intp)
+    position[packed] = np.arange(len(packed))
     activations = sparse.csr_matrix((np.ones(len(tokens)), (position[tokens], uni_rows)),
-                                    shape=(n_tokens, len(dictionary.uni_strings)))
-    return _Encoded(packed, groups, edge_classes[np.concatenate(edge)], activations,
-                    transitions, None if y is None else y[packed], gold_pairs, L)
+                                    shape=(len(packed), len(dictionary.uni_strings)))
+    rows = np.cumsum([0] + [sum(sizes) for sizes in sizes_per_group])
+    edges = rows - np.cumsum([0] + [sum(sizes[:1]) for sizes in sizes_per_group])
+    spans = [(slice(*rows[g : g + 2]), slice(*edges[g : g + 2]), sizes)
+             for g, sizes in enumerate(sizes_per_group)]
+    classes = edge_classes[np.concatenate(edge)]
+    for a in (packed, position, classes, edge_classes, activations.data, activations.indices,
+              activations.indptr, transitions.data, transitions.indices, transitions.indptr):
+        a.setflags(write=False)  # the transposes share these
+    return _Design(packed, position, spans, classes, edge_classes, activations,
+                   activations.T, transitions, transitions.T)
 
 
 # Cap on the cells (tokens x labels) of one group of the packed layout
@@ -450,6 +474,12 @@ def _scores(weights: np.ndarray, enc: _Encoded):
     return enc.activations @ unigram, _transition_scores(weights[n:], enc)
 
 
+def _scored(model: LinearChainModel, corpus: Corpus, index: FeatureIndex | None = None):
+    """The model's scores on the corpus (see _scores) and its encoding."""
+    enc = _encode(corpus, model.templates, model.dictionary, index=index)
+    return (*_scores(model.weights, enc), enc)
+
+
 def _transition_scores(bigram: np.ndarray, enc: _Encoded) -> np.ndarray:
     """One transition matrix per class (classes x L x L) at bigram weights."""
     L = enc.n_labels
@@ -512,7 +542,7 @@ def _best_paths(unary: np.ndarray, P: np.ndarray, enc: _Encoded) -> np.ndarray:
     path = np.empty(len(unary), dtype=np.intp)
     for rows, edges, sizes in enc.spans:
         path[rows] = _viterbi(unary[rows], P, enc.classes[edges], sizes)
-    return enc.in_corpus_order(path)
+    return path[enc.position]
 
 
 def _objective(x: np.ndarray, enc: _Encoded, sigma: float, gram=None):
@@ -903,8 +933,7 @@ def tag(
 ) -> list[list[str]]:
     """Viterbi labels per sentence; unknown words fall back to whatever
     transition and boundary features say.  index is as for train."""
-    enc = _encode(corpus, model.templates, model.dictionary, index=index)
-    best = _best_paths(*_scores(model.weights, enc), enc)
+    best = _best_paths(*_scored(model, corpus, index))
     labels = np.array(model.labels, dtype=object)[best]
     return [labels[start:end].tolist() for start, end in corpus.bounds]
 
@@ -914,15 +943,14 @@ def marginals(
 ) -> list[np.ndarray]:
     """Per-sentence node-marginal matrices (positions x labels); index is
     as for train."""
-    enc = _encode(corpus, model.templates, model.dictionary, index=index)
-    node = enc.in_corpus_order(_expectations(*_scores(model.weights, enc), enc)[1])
+    unary, P, enc = _scored(model, corpus, index)
+    node = _expectations(unary, P, enc)[1][enc.position]
     return [node[start:end] for start, end in corpus.bounds]
 
 
 def confidence(model: LinearChainModel, corpus: Corpus) -> list[list[float]]:
     """Node-marginal probability of the Viterbi label at each token."""
-    enc = _encode(corpus, model.templates, model.dictionary)
-    unary, P = _scores(model.weights, enc)
-    node = enc.in_corpus_order(_expectations(unary, P, enc)[1])
+    unary, P, enc = _scored(model, corpus)
+    node = _expectations(unary, P, enc)[1][enc.position]
     best = node[np.arange(len(node)), _best_paths(unary, P, enc)]
     return [best[start:end].tolist() for start, end in corpus.bounds]

@@ -23,8 +23,8 @@ Template expansion depends only on a view's observation columns, so
 stages with the same recipe and input columns share one feature index of
 the training view and one of the test view: the four components of a
 decomposed plan, which differ only in their gold labels, are expanded
-once per corpus.  A jackknife gathers its folds' rows from its stage's
-training index and starts each fold at the stage model.
+and encoded once per corpus.  A jackknife gathers its folds' rows from
+its stage's training index and starts each fold at the stage model.
 """
 
 from __future__ import annotations

@@ -521,7 +521,7 @@ class TestPackedKernel:
             # a group starts at each sorted sentence that starts past a
             # multiple of cap // L tokens
             before = itertools.accumulate(sorted(lengths, reverse=True)[:-1], initial=0)
-            assert len(enc.groups) == len({b // (cap // L) for b in before})
+            assert len(enc.spans) == len({b // (cap // L) for b in before})
         assert np.isfinite(log_z) and np.isfinite(node).all()
         assert np.isfinite(expected).all()
 
@@ -539,7 +539,7 @@ class TestPackedKernel:
                         ref_expected[row] += edge[t]
             lattices.append(lattice)
         assert log_z == pytest.approx(ref_z, rel=1e-9, abs=1e-9)
-        assert np.abs(enc.in_corpus_order(node) - np.concatenate(ref_node)).max() <= 1e-9
+        assert np.abs(node[enc.position] - np.concatenate(ref_node)).max() <= 1e-9
         assert np.abs(expected.reshape(ref_expected.shape) - ref_expected).max(initial=0.0) \
             <= 1e-9 * np.abs(ref_expected).max(initial=1.0)
 
@@ -733,7 +733,7 @@ class TestObjective:
         sigma = 2.0
         with patch.object(crf, "_GROUP_CELL_CAP", 3 * d.n_labels):
             enc = crf._encode(corpus, model.templates, d, 1)
-            assert len(enc.groups) > 1 and enc.transitions.shape[0] > 1
+            assert len(enc.spans) > 1 and enc.transitions.shape[0] > 1
             value, _ = objective_and_gradient(model, corpus, sigma)
         expected = -float(weights @ weights) / (2 * sigma * sigma)
         for sentence, labels in zip(sentences(corpus), corpus.sentence_column("tag")):

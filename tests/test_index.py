@@ -5,9 +5,11 @@ CRF++ definition and builds the dictionary, the encoding, the lattices
 and the tags from those strings one position at a time.
 """
 
+import gc
 import itertools
 from itertools import islice
 import math
+import weakref
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -19,6 +21,7 @@ from chaintag import crf
 from chaintag.corpus import ColumnSchema, Corpus, select_columns, select_sentences
 from chaintag.errors import LengthMismatchError
 from chaintag.crf import Lattice, TrainingConfig, marginals, sequence_score, tag, train
+from chaintag.pipelines import jackknife_stage_features
 from chaintag.templates import (
     FeatureTemplate,
     Macro,
@@ -235,7 +238,7 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     for active, k in classes.items():
         transitions[k, list(active)] = 1
     packed, sizes = packed_layout(corpus)
-    assert enc.packed.tolist() == packed and enc.groups == [sizes]
+    assert enc.packed.tolist() == packed and [s for *_, s in enc.spans] == [sizes]
     assert np.array_equal(enc.activations.toarray(), activations[packed])
     onehot = np.eye(L)[enc.gold]
     gold_counts = np.concatenate([
@@ -378,3 +381,89 @@ def test_an_index_must_fit_the_corpus_and_templates():
             tag(model, corpus, index=index)
         with pytest.raises(LengthMismatchError):
             marginals(model, corpus, index=index)
+
+
+# --- designs: the label-free encoding an index keeps ----------------------
+
+
+def outputs(model, corpus, index=None):
+    """tag and marginals, the marginals as one array."""
+    return (tag(model, corpus, index=index),
+            np.concatenate(marginals(model, corpus, index=index)))
+
+
+def assert_same_outputs(got, expected):
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+
+
+def test_one_index_keeps_a_design_per_string_set_cut_and_lengths():
+    """Two dictionaries over other strings (cutoff 1 and 2), other group
+    cuts, and other sentence lengths of the same token and edge counts
+    (which fitting_index accepts) each get their own design on one index;
+    training and tagging again reuse them, and every result is the one a
+    fresh copy of the index, which holds no design, gives."""
+    corpus = table(["a", "b", "a", "c", "b", "a"], ["x", "y", "x", "y", "x", "x"],
+                   [3, 1, 2])
+    corpus = replace(corpus, columns=corpus.columns[:2] + (tuple("XYXZYX"),))
+    relaid = replace(corpus, lengths=(2, 2, 2))
+    index = index_features(corpus, WIDE_TEMPLATES)
+    config = TrainingConfig(max_iterations=3)
+    models = [train(corpus, WIDE_TEMPLATES, replace(config, cutoff=c)) for c in (1, 2)]
+    assert models[0].dictionary.uni_strings != models[1].dictionary.uni_strings
+    cut = 3 * models[0].dictionary.n_labels  # groups of about 3 tokens
+    with patch.object(crf, "_GROUP_CELL_CAP", cut):
+        assert len(crf._encode(corpus, WIDE_TEMPLATES, models[0].dictionary).spans) > 1
+        expected_cut = outputs(models[0], corpus, replace(index))
+    expected = [outputs(m, c, replace(index)) for m in models for c in (corpus, relaid)]
+    assert expected[0][0] != expected[1][0]  # the relaid sentences read other sentinels
+    with patch.object(crf, "_design", wraps=crf._design) as build:
+        for _ in range(2):
+            for m, c, want in zip([models[0]] * 2 + [models[1]] * 2,
+                                  [corpus, relaid] * 2, expected):
+                assert_same_outputs(outputs(m, c, index), want)
+            with patch.object(crf, "_GROUP_CELL_CAP", cut):
+                assert_same_outputs(outputs(models[0], corpus, index), expected_cut)
+            for m, c in zip(models, (1, 2)):
+                shared = train(corpus, WIDE_TEMPLATES, replace(config, cutoff=c), index)
+                assert np.array_equal(shared.weights, m.weights)
+    assert build.call_count == 5
+    assert len(crf._DESIGNS[index]) == 5
+
+
+def test_an_index_keeps_its_designs_only_while_it_lives():
+    """A design goes with the last reference to its index, so a jackknife
+    fold's gathered index holds nothing past its fold."""
+    corpus = table(["a", "b", "c", "d", "a"], ["x", "y", "x", "y", "x"], [3, 2])
+    model = train(corpus, WIDE_TEMPLATES, TrainingConfig(max_iterations=3))
+    index = index_features(corpus, WIDE_TEMPLATES)
+    tag(model, corpus, index=index)
+    (design,) = crf._DESIGNS[index].values()
+    gone = weakref.ref(design)
+    del design, index
+    gc.collect()
+    assert gone() is None
+    live = len(crf._DESIGNS)
+    view = replace(corpus, columns=corpus.columns[:2] + (tuple("XYXZY"),))
+    with patch.object(crf, "_design", wraps=crf._design) as build:
+        jackknife_stage_features(view, TrainingConfig(max_iterations=3), 2, 0)
+    assert build.call_count == 4  # each fold's train and tag, on its gathered index
+    build.reset_mock()  # the mock's call records hold the fold indexes
+    gc.collect()
+    assert len(crf._DESIGNS) == live
+
+
+def test_a_designs_arrays_are_read_only():
+    """Every model encoded from a design shares its arrays, so an in-place
+    write, which would change another model's encoding, raises."""
+    corpus = table(["a", "b", "c", "d", "a"], ["x", "y", "x", "y", "x"], [3, 2])
+    model = train(corpus, WIDE_TEMPLATES, TrainingConfig(max_iterations=0))
+    enc = crf._encode(corpus, WIDE_TEMPLATES, model.dictionary, 2)
+    for matrix in (enc.activations, enc.activations_T, enc.transitions, enc.transitions_T):
+        for a in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    for a in (enc.packed, enc.position, enc.classes, enc.edge_classes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    enc.gold[0] = enc.gold[0]  # the model's own

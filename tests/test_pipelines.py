@@ -19,7 +19,7 @@ from chaintag.corpus import (
     select_sentences,
     write_corpus,
 )
-from chaintag.crf import UNCONVERGED, TrainingConfig, tag, train
+from chaintag.crf import UNCONVERGED, TrainingConfig, marginals, tag, train
 from chaintag.errors import (
     LengthMismatchError,
     MissingColumnError,
@@ -28,7 +28,7 @@ from chaintag.errors import (
     TrainingConfigError,
     UndecomposableTagError,
 )
-from chaintag import pipelines, templates
+from chaintag import crf, pipelines, templates
 from chaintag.pipelines import (
     NAMED_PIPELINES,
     STAGE_SOURCES,
@@ -334,6 +334,27 @@ def test_decomposed_components_share_one_index_per_view():
         assert shared.dictionary == alone.dictionary
         assert np.array_equal(shared.weights, alone.weights)
         assert (shared.iterations, shared.stop) == (alone.iterations, alone.stop)
+
+
+def test_decomposed_components_share_one_design_per_view():
+    """VIII's components read one design of the training view and one of
+    the test view, and each one's tag and marginals on a shared index are
+    what it gives with no index."""
+    train_c, test_c = train_test_pair()
+    spec = named_pipeline("VIII", config=FAST)
+    with patch.object(crf, "_design", wraps=crf._design) as build:
+        result = run_pipeline(spec, train_c, test_c, bundled_schema())
+    assert build.call_count == 2
+    view = select_columns(materialize_recipe(test_c, spec.recipe), spec.recipe.column_names)
+    shared = index_features(view, parse_templates(default_templates(range(view.schema.width))))
+    for k in range(4):
+        model = result.models["G%d" % k]
+        alone = tag(model, view)
+        assert tag(model, view, index=shared) == alone
+        assert list(result.corpus.column("ResG%d" % k)) == [v for s in alone for v in s]
+        for got, expected in zip(marginals(model, view, index=shared), marginals(model, view)):
+            assert np.array_equal(got, expected)
+    assert len(crf._DESIGNS[shared]) == 1
 
 
 _PROBABILITIES = st.sampled_from([0.0, 1e-320, 0.25, 0.5, 1.0]) | st.floats(0, 1)
