@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .corpus import (
     ColumnSchema,
@@ -59,25 +59,16 @@ def _schema_from(args):
     return bundled_schema() if args.schema is None else load_schema(args.schema)
 
 
-_TRAINING_FLAGS = {  # TrainingConfig field: help text
-    "sigma": "regularization scale",
-    "max_iterations": "optimizer iteration cap",
-    "tolerance": "relative convergence threshold",
-    "cutoff": "minimum feature-string count",
-}
-
-
 def _add_training_flags(parser):
-    for key, text in _TRAINING_FLAGS.items():
-        default = getattr(TrainingConfig(), key)
-        parser.add_argument("--" + key.replace("_", "-"), type=type(default),
-                            help="%s (default %s)" % (text, default))
+    for f in fields(TrainingConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            help="%s (default %s)" % (f.metadata["help"], f.default))
 
 
 def _training_config(args, base: TrainingConfig) -> TrainingConfig:
     """base with the training flags given on the command line."""
-    return replace(base, **{key: getattr(args, key) for key in _TRAINING_FLAGS
-                            if getattr(args, key) is not None})
+    return replace(base, **{f.name: getattr(args, f.name) for f in fields(TrainingConfig)
+                            if getattr(args, f.name) is not None})
 
 
 def cmd_train(args) -> int:

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from operator import mul
 from sys import float_info
@@ -107,10 +107,11 @@ from .templates import (  # noqa: F401 (bench/run.py traces crf.active_features)
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    sigma: float = 1.0
-    max_iterations: int = 300
-    tolerance: float = 1e-5
-    cutoff: int = 1
+    # each field is a flag of train and cv (cli) and a [training] spec key (pipelines)
+    sigma: float = field(default=1.0, metadata={"help": "regularization scale"})
+    max_iterations: int = field(default=300, metadata={"help": "optimizer iteration cap"})
+    tolerance: float = field(default=1e-5, metadata={"help": "relative convergence threshold"})
+    cutoff: int = field(default=1, metadata={"help": "minimum feature-string count"})
 
     def __post_init__(self):
         # the prior divides by sigma squared, which must be a normal double
@@ -665,44 +666,43 @@ _MAX_TRIALS = 20
 UNCONVERGED = ("max_iterations", "line search")
 
 
+def _identity(v):
+    """images for no basis (see minimize): the largest entry of v in size, and v."""
+    return max(v.max(initial=0.0), -v.min(initial=0.0)), v
+
+
 def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
-    """Minimize fun, which returns (value, gradient), by L-BFGS from x0:
-    directions from the last 10 steps by the two-loop recursion (Liu &
-    Nocedal 1989), run on their dot products (see _two_loop).  Stops as
-    L-BFGS-B does: "converged" once a step lowers the value by at most
-    tolerance * max(|old|, |new|, 1), or once rounding hides any decrease
-    along the search direction; "gradient" once no gradient entry exceeds
-    1e-9; "max_iterations"; or "line search" when no step is found for any
-    other reason.
+    """Minimize fun by L-BFGS from x0: directions from the last 10 steps by
+    the two-loop recursion (Liu & Nocedal 1989), run on their dot products
+    (see _two_loop).  Stops as L-BFGS-B does: "converged" once a step
+    lowers the value by at most tolerance * max(|old|, |new|, 1), or once
+    rounding hides any decrease along the search direction; "gradient" once
+    no gradient entry exceeds 1e-9; "max_iterations"; or "line search" when
+    no step is found for any other reason.
     callback(x, value) sees x0 and each accepted point.  Returns the point,
     the number of steps, the number of calls of fun and the stop reason.
 
-    Given images, x is the coordinates of the point B x under a basis B:
-    images(v) returns the largest entry of B v in size and G v, with
-    G = B'B, and fun must return coordinates g of the gradient B g.  Every
-    dot product is the images' one, <B a, B b> = <a, G b>, so the steps are
-    those taken on the images.  Each step and gradient change is kept
-    beside its Gram image (G s is the step times G d, and G d is formed
-    from the same coefficients as d), and the "gradient" stop tests the
-    entries of B g.  The point's Gram image is carried too: G x0 once, then each
-    trial point's is G x plus the step times G d, and fun is called as
-    fun(x, G x).  Without images, G is the identity, each vector is its
-    own Gram image, and fun is called as fun(x)."""
-
-    def image(v):
-        if images is None:
-            return max(v.max(initial=0.0), -v.min(initial=0.0)), v
-        return images(v)
-
-    x, x_gram = x0, None if images is None else images(x0)[1]
-    (f, g), calls = fun(x) if images is None else fun(x, x_gram), 1
-    g_largest, g_gram = image(g)
+    x is the coordinates of the point B x under a basis B: images(v)
+    returns the largest entry of B v in size and G v, with G = B'B, and
+    images=None is the identity, B = G = I.  fun is called as fun(x, G x)
+    and returns the value and coordinates g of the gradient B g.  Every dot
+    product is the images' one, <B a, B b> = <a, G b>, so the steps are
+    those taken on the images, and the "gradient" stop tests the entries of
+    B g.  Each step and gradient change is kept beside its Gram image (G s
+    is the step times G d, and G d is formed from the same coefficients as
+    d), and so is the point: G x0 once, then each trial point's is G x plus
+    the step times G d.  Under the identity every vector is its own image,
+    so one history row serves both and fun sees the point twice."""
+    images = images or _identity
+    x, x_gram = x0, images(x0)[1]
+    (f, g), calls = fun(x, x_gram), 1
+    g_largest, g_gram = images(g)
     if callback is not None:
         callback(x, f)
     # pair k is S[k, 0] and Y[k, 0]; row -1 holds their Gram images, and
     # SY[i, j] = <s_i, y_j> and YY[i, j] = <y_i, y_j>, each a row against
-    # the other's image
-    rows = 1 if images is None else 2
+    # the other's image; a point that is its own image keeps one row
+    rows = 1 if x_gram is x else 2
     S, Y = np.empty((_MEMORY, rows, x.size)), np.empty((_MEMORY, rows, x.size))
     SY, YY = np.empty((_MEMORY, _MEMORY)), np.empty((_MEMORY, _MEMORY))
     for iteration in itertools.count():
@@ -729,12 +729,12 @@ def minimize(fun, x0, max_iterations, tolerance, callback=None, images=None):
         if point is x:
             return x, iteration, calls, "converged"
         k, filled = iteration % _MEMORY, min(iteration + 1, _MEMORY)
-        g_largest, gram_new = image(g_new)
+        g_largest, gram_new = images(g_new)
+        # the images first: under the identity row 0 is row -1
+        np.multiply(D[-1], step, out=S[k, -1])
+        np.subtract(gram_new, g_gram, out=Y[k, -1])
         np.subtract(point, x, out=S[k, 0])
         np.subtract(g_new, g, out=Y[k, 0])
-        if images is not None:
-            np.multiply(D[-1], step, out=S[k, -1])
-            np.subtract(gram_new, g_gram, out=Y[k, -1])
         SY[:filled, k] = S[:filled, -1] @ Y[k, 0]
         YY[:filled, k] = YY[k, :filled] = Y[:filled, -1] @ Y[k, 0]
         SY[k, :filled] = Y[:filled, -1] @ S[k, 0]  # s'y > 0 on a strictly convex fun
@@ -777,24 +777,24 @@ def _line_search(fun, x, x_gram, f0, g0, d, d_gram, step):
     manner of Moré & Thuente: extrapolate by cubic steps until a minimizer
     is bracketed, then zoom by safeguarded cubic steps or bisection.  A
     slope is a gradient's dot product with d_gram, the Gram image of d.
-    fun sees each trial point, and its Gram image x_gram + step d_gram
-    unless x_gram is None.  Returns the step, the point, its Gram image,
-    its value, its gradient and the number of calls.
+    fun sees each trial point and its Gram image x_gram + step d_gram, the
+    point itself when x_gram is x.  Returns the step, the point, its Gram
+    image, its value, its gradient and the number of calls.
     When 20 trials find no such step, or rounding leaves none to try, the
-    point is x if rounding hides any decrease left in the bracket, and
-    None otherwise."""
+    point is x if no step in the bracket can lower the value of a convex
+    fun by more than the rounding of f0, and None otherwise."""
     slope0 = g0 @ d_gram
     lo, hi = (0.0, f0, slope0), None  # (step, value, slope); lo is lowest
     step = np.float64(step)
     for trial in range(1, _MAX_TRIALS + 1):
         point = d * step
         point += x
-        if x_gram is None:
-            point_gram, (f, g) = None, fun(point)
+        if x_gram is x:  # the identity's: each point is its own image
+            point_gram = point
         else:
             point_gram = d_gram * step
             point_gram += x_gram
-            f, g = fun(point, point_gram)
+        f, g = fun(point, point_gram)
         now = (step, f, g @ d_gram)
         decreased = f <= f0 + _C1 * step * slope0
         if decreased and abs(now[2]) <= -_C2 * slope0:
@@ -823,10 +823,8 @@ def _line_search(fun, x, x_gram, f0, g0, d, d_gram, step):
             if not a < step < b:  # rounding leaves no step to try
                 break
     # On a convex fun no step in the bracket lowers the value by more than
-    # -slope0 times its far end.  If that, and the lowest value's own
-    # decrease, are within the rounding of f0, no decrease is left to find.
-    rounding = abs(np.spacing(f0))
-    if hi is not None and max(f0 - lo[1], -slope0 * max(lo[0], hi[0])) <= rounding:
+    # -slope0 times its far end; within the rounding of f0, none is left.
+    if hi is not None and -slope0 * max(lo[0], hi[0]) <= abs(np.spacing(f0)):
         return 0.0, x, x_gram, f0, g0, trial
     return None, None, None, None, None, trial
 
@@ -897,8 +895,8 @@ def train(
     basis = _TokenBasis(enc) if corpus.n_tokens < len(dictionary.uni_strings) else None
     trace: list[float] = []
 
-    def fun(x, gram=None):
-        value, gradient = _objective(x, enc, config.sigma, gram)
+    def fun(x, gram=None):  # _objective reads gram in token coordinates only
+        value, gradient = _objective(x, enc, config.sigma, None if basis is None else gram)
         return -value, -gradient
 
     x, iterations, evaluations, stop = minimize(

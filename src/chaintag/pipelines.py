@@ -32,7 +32,7 @@ from __future__ import annotations
 import configparser
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -411,12 +411,8 @@ _SPEC_FILE = {
         ("seed", int, "%d".__mod__),
         ("label_column", str, str),
     ),
-    "training": (
-        ("sigma", float, repr),
-        ("max_iterations", int, "%d".__mod__),
-        ("tolerance", float, repr),
-        ("cutoff", int, "%d".__mod__),
-    ),
+    "training": tuple((f.name, type(f.default), {float: repr, int: "%d".__mod__}[type(f.default)])
+                      for f in fields(TrainingConfig)),
 }
 
 
@@ -460,12 +456,12 @@ def parse_pipeline_spec(text: str) -> PipelineSpec:
                     "training " if section == "training" else "",
                     ", ".join(sorted(unknown))))
             given[section] = {key: readers[key](values[key]) for key in values}
-        fields = {**given["pipeline"], "config": TrainingConfig(**given["training"])}
-        pipeline_id = fields.pop("id", "custom")
+        settings = {**given["pipeline"], "config": TrainingConfig(**given["training"])}
+        pipeline_id = settings.pop("id", "custom")
         if pipeline_id in NAMED_PIPELINES:
-            return named_pipeline(pipeline_id, **fields)
-        if "strategy" not in fields or "recipe" not in fields:
+            return named_pipeline(pipeline_id, **settings)
+        if "strategy" not in settings or "recipe" not in settings:
             raise PipelineConfigError("unnamed pipelines need strategy and recipe")
-        return PipelineSpec(pipeline_id, **fields)
+        return PipelineSpec(pipeline_id, **settings)
     except ValueError as err:
         raise PipelineConfigError("bad value in pipeline file: %s" % err) from None

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import pytest
 
-from chaintag.cli import main
+from chaintag.cli import _training_config, build_parser, main
+from chaintag.crf import TrainingConfig
 from chaintag.corpus import ColumnSchema, load_corpus
 from chaintag.model_io import load_model
 from chaintag.tagschema import bundled_schema, format_schema
@@ -347,6 +349,21 @@ def test_cv_label_column_must_exist(toy_path, capsys):
 
 
 # --- exit codes and plumbing ------------------------------------------
+
+
+@pytest.mark.parametrize("command, required", [
+    ("train", ["--model", "M"]), ("cv", ["--pipeline", "IV"])])
+def test_every_training_setting_is_a_flag(command, required, capsys):
+    """Each TrainingConfig field is a flag of train and cv, with its
+    default in the help."""
+    assert run_cli([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    off = TrainingConfig(sigma=0.3, max_iterations=7, tolerance=2.5e-9, cutoff=3)
+    argv = [command, "C", "--columns", "mot,tag", *required]
+    for f in fields(TrainingConfig):
+        assert "%s (default %s)" % (f.metadata["help"], f.default) in help_text
+        argv += ["--" + f.name.replace("_", "-"), str(getattr(off, f.name))]
+    assert _training_config(build_parser().parse_args(argv), TrainingConfig()) == off
 
 
 def test_usage_errors_exit_with_one(capsys):

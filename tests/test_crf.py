@@ -904,7 +904,7 @@ class TestWarmStart:
 
 def quadratic(A, b):
     """f(x) = x'Ax/2 - b'x and its gradient."""
-    return lambda x: (float(x @ A @ x / 2 - b @ x), A @ x - b)
+    return lambda x, gram=None: (float(x @ A @ x / 2 - b @ x), A @ x - b)
 
 
 def two_loop_oracle(g, pairs, G):
@@ -940,7 +940,7 @@ class TestMinimize:
         a = np.logspace(0, np.log10(condition), 10)
         c = rng.uniform(-5, 5, size=10)
 
-        def fun(x):  # minimum 0 at c
+        def fun(x, gram=None):  # minimum 0 at c
             return float(a @ (x - c) ** 2 / 2), a * (x - c)
 
         x, iterations, calls, stop = minimize(fun, np.zeros(10), 500, 1e-15)
@@ -968,6 +968,31 @@ class TestMinimize:
                           images=images_under(np.ones((1, 2))))
         assert result[1:] == (0, 1, "gradient")
 
+    @pytest.mark.parametrize("basis", [False, True])
+    def test_fun_sees_the_point_and_its_gram_image(self, basis):
+        """fun is called as fun(z, G z), always: without images G is the
+        identity and the image is the point itself, not a copy; under
+        images_under(B) it is B'B z.  f(B z) = |B z|^2 / 2 - c'B'B z, whose
+        gradient is B (z - c)."""
+        rng = np.random.default_rng(0)
+        B = rng.normal(size=(8, 5)) if basis else np.eye(5)
+        c = rng.normal(size=5)
+        calls = []
+
+        def fun(z, gram):
+            calls.append((z.copy(), gram is z, gram.copy()))
+            return float(z @ gram / 2 - c @ gram), z - c
+
+        minimize(fun, rng.normal(size=5), 20, 1e-12,
+                 images=images_under(B) if basis else None)
+        assert len(calls) > 1
+        for z, same, gram in calls:
+            if basis:
+                exact = B.T @ (B @ z)
+                assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
+            else:
+                assert same
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n, k", [(12, 4), (30, 9), (5, 5)])
     def test_a_basis_takes_the_euclidean_steps(self, seed, n, k):
@@ -983,7 +1008,7 @@ class TestMinimize:
         c = rng.normal(size=k) * 10
         lam = 0.1
 
-        def fun(x):
+        def fun(x, gram=None):
             v = B.T @ x
             return float(lam * x @ x / 2 + v @ H @ v / 2 - c @ v), lam * x + B @ (H @ v - c)
 
@@ -1015,7 +1040,7 @@ class TestMinimize:
         b = rng.normal(size=n) * 10
         return A, b, rng.normal(size=n)
 
-    @pytest.mark.parametrize("seed", [2800, 3502])
+    @pytest.mark.parametrize("seed", [2800, 3391, 3502])
     def test_a_search_that_rounding_stops_at_the_minimum_is_converged(self, seed, monkeypatch):
         """Near the minimum of these quadratics no trial step lowers the
         value by more than its rounding: the line search returns the point

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest.mock import Mock, patch
 
@@ -541,6 +541,13 @@ def test_a_warm_fold_ends_no_lower_than_the_cold_fold():
 def test_spec_round_trip_named():
     spec = named_pipeline("VII", seed=4, jackknife_folds=3,
                           config=TrainingConfig(sigma=2.0, max_iterations=50))
+    assert parse_pipeline_spec(format_pipeline_spec(spec)) == spec
+
+
+def test_spec_round_trip_with_every_training_setting_off_its_default():
+    config = TrainingConfig(sigma=0.3, max_iterations=7, tolerance=2.5e-9, cutoff=3)
+    assert all(getattr(config, f.name) != f.default for f in fields(TrainingConfig))
+    spec = named_pipeline("V", config=config)
     assert parse_pipeline_spec(format_pipeline_spec(spec)) == spec
 
 
