@@ -20,6 +20,20 @@ corpus (cut into groups past _GROUP_CELL_CAP cells, to bound memory).
 Viterbi and forward-backward both run over this layout; viterbi(lattice)
 and forward_backward(lattice) are their one-sentence case.
 
+Viterbi scores, at each step, only the previous labels that can still
+win, the exact state-skipping bound of CarpeDiem (Esposito & Radicioni,
+2009) and staggered decoding (Kaji et al., 2010).  A previous label that
+trails its row's best by more than the spread of the transition scores
+(largest minus smallest, over all classes) scores less into every
+current label than the best one does, so it is never an argmax.  A
+margin of 1e-9 of the scores' size on top of the spread keeps every
+label whose rounded sum could still tie the best, and the kept labels,
+taken in ascending order, give bit for bit the sums, back-pointers and
+lowest-index tie-breaks of scoring all L.  A trained model's transitions
+spread less than its unary scores' gaps, so most rows keep one or two
+labels; a step scores all L where the spread is wide or its rows too few
+for the bound to pay.
+
 Of that encoding only the gold labels depend on a model's labels.  The
 rest, a design (layout, activations, transition classes and matrices),
 is built once per feature index, dictionary strings, sentence lengths
@@ -499,32 +513,72 @@ def _expectations(unary: np.ndarray, P: np.ndarray, enc: _Encoded):
     return log_z, node, per_class
 
 
-# Cap on the cells of one Viterbi step's (rows, L, L) score tensor: the
-# rows of a step are scored in chunks this small, which tag no slower and
-# leave less freed memory held by the allocator than larger ones.
+# Cap on the cells of a Viterbi step's (rows, L, L) score tensor, where it
+# scores every previous label, and of a block's (rows, L) slabs, where it
+# scores candidates only: the rows of a step are taken in chunks and
+# blocks this small, which tag no slower and leave less freed memory held
+# by the allocator than larger ones.
 _VITERBI_CELL_CAP = 250_000
+
+# A block whose (rows, L, L) tensor would hold at most this many cells
+# scores every previous label without weighing the candidate bound: there
+# the bound's dozen numpy calls cost more than the cells they could save,
+# as on the 2 to 12 labels of the cascade and decomposed models.
+_PRUNE_CELLS = 50_000
 
 
 def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.ndarray:
     """The best label of every row of chains in the packed layout, with
     _forward_backward's arguments, overwriting U.  Every argmax takes the
-    first maximal index, so ties go to the lowest label index."""
+    first maximal index, so ties go to the lowest label index.
+
+    A step scores only the previous labels that can still win.  In a row
+    whose best previous score is top, label p with delta_p < top - spread
+    - eps, spread = max P - min P over all classes, scores into every
+    current label at least eps below the best label's score, which is a
+    candidate; eps = 1e-9 (|top| + max |P| + 1) exceeds the rounding of
+    both sums many times over, so p can neither win nor tie.  Where no
+    row of a block keeps more than L / 2 labels, _score_candidates scores
+    the kept ones, bit for bit the sums and first maxima of scoring all L.
+    Otherwise, and in a block too small to weigh the bound, the step
+    scores all L, a chunk of (rows, L, L) at a time."""
     n, L = U.shape
     steps = _steps(sizes)
     first = sizes[0] if sizes else 0
     into = np.ascontiguousarray(P.transpose(0, 2, 1))  # [k, cur, prev]
     chunk = max(1, _VITERBI_CELL_CAP // L**2)
+    block = max(1, _VITERBI_CELL_CAP // L)
+    few = _PRUNE_CELLS // L**2
+    widest = sizes[1] if len(sizes) > 1 else 0  # the rows of step 1, the largest
+    flat = np.arange(min(chunk, widest) * L).reshape(-1, L) * L  # scores[row, cur, 0], flat
+    if widest > few:
+        most, least = P.max(), P.min()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            spread, reach = most - least, max(most, -least)
     delta = U  # the callers own their unary scores
     back = np.empty((n - first, L), dtype=np.min_scalar_type(L - 1))
     for t in range(1, len(steps)):
         (lo, hi), shift = steps[t], steps[t][0] - steps[t - 1][0]
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            edges = slice(a - first, b - first)
-            scores = delta[a - shift : b - shift, None, :] + (
-                into[0] if len(P) == 1 else into[classes[edges]])
-            back[edges] = best = scores.argmax(axis=2)
-            delta[a:b] += np.take_along_axis(scores, best[:, :, None], axis=2)[:, :, 0]
+        for a in range(lo, hi, block):
+            b = min(a + block, hi)
+            prev = delta[a - shift : b - shift]
+            if b - a > few:
+                top = prev.max(axis=1, keepdims=True)
+                with np.errstate(invalid="ignore"):  # top inf: the row keeps all
+                    keep = ~(prev < top - (spread + 1e-9 * (np.abs(top) + reach + 1.0)))
+                counts = keep.sum(axis=1)
+                K = int(counts.max())
+                if 2 * K <= L:
+                    _score_candidates(prev, keep, counts, K, P, classes[a - first : b - first],
+                                      delta[a:b], back[a - first : b - first])
+                    continue
+            for c in range(a, b, chunk):
+                d = min(c + chunk, b)
+                edges = slice(c - first, d - first)
+                scores = prev[c - a : d - a, None, :] + (
+                    into[0] if len(P) == 1 else into[classes[edges]])
+                back[edges] = best = scores.argmax(axis=2)
+                delta[c:d] += scores.reshape(-1)[flat[: d - c] + best]
     path = np.empty(n, dtype=np.intp)
     for t in range(len(steps) - 1, -1, -1):
         lo, hi = steps[t]
@@ -535,6 +589,29 @@ def _viterbi(U: np.ndarray, P: np.ndarray, classes: np.ndarray, sizes) -> np.nda
             path[lo : lo + going_on] = back[after - first : after - first + going_on][
                 np.arange(going_on), path[after : after + going_on]]
     return path
+
+
+def _score_candidates(prev, keep, counts, K, P, classes, delta, back):
+    """One Viterbi step over the kept previous labels of each row: adds
+    the best score into delta and writes the back-pointers.  Rows take
+    their kept labels in ascending order, one (rows, L) slab at a time (a
+    row with fewer than K repeats its last), and a later label replaces
+    the best only when it scores strictly higher, so ties go to the
+    lowest label index."""
+    labels = np.nonzero(keep)[1].astype(back.dtype)
+    scored = prev[keep]
+    start = np.cumsum(counts) - counts
+    for m in range(K):
+        at = start + np.minimum(m, counts - 1)
+        p = labels[at]
+        col = (P[0][p] if len(P) == 1 else P[classes, p]) + scored[at][:, None]
+        if m == 0:
+            best = col
+            back[:] = p[:, None]
+        else:
+            np.copyto(back, p[:, None], where=col > best)
+            np.maximum(best, col, out=best)
+    delta += best
 
 
 def _best_paths(unary: np.ndarray, P: np.ndarray, enc: _Encoded) -> np.ndarray:

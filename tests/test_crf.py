@@ -190,6 +190,25 @@ def random_lattice(rng, T, L, integer=False):
     return Lattice(unary, pairwise)
 
 
+def packed_viterbi(unaries, P, edge_classes):
+    """crf._viterbi on chains packed as tag packs sentences, longest first
+    and step by step, the edges of chain b scored by P[edge_classes[b]],
+    with every step weighing the candidate bound however few its rows.
+    Each chain's path, and whether any step scored candidates only."""
+    order = sorted(range(len(unaries)), key=lambda b: -len(unaries[b]))
+    sizes = [sum(len(u) > t for u in unaries) for t in range(max(map(len, unaries)))]
+    at = [(b, t) for t in range(len(sizes)) for b in order if len(unaries[b]) > t]
+    U = np.array([unaries[b][t] for b, t in at], dtype=float)
+    classes = np.array([edge_classes[b][t - 1] for b, t in at if t], dtype=int)
+    with patch.object(crf, "_PRUNE_CELLS", 0), patch.object(
+            crf, "_score_candidates", wraps=crf._score_candidates) as pruned:
+        path = crf._viterbi(U, P, classes, sizes)
+    paths = [[] for _ in unaries]
+    for (b, t), y in zip(at, path.tolist()):
+        paths[b].append(y)
+    return paths, pruned.called
+
+
 # --- lattice construction ---------------------------------------------
 
 
@@ -467,6 +486,133 @@ class TestViterbi:
             assert np.array_equal(lattice.unary, U[b])
 
 
+class TestCandidateBound:
+    """At each step Viterbi scores only the previous labels whose score is
+    within the transitions' spread, over all classes, of their row's best,
+    plus a rounding margin: any other label scores less than the best one
+    does, whatever the current label.  A label exactly at the bound can
+    tie the best, and being the lower index it must then win.  Each case
+    holds a one-token chain, chains over both classes, and a chain whose
+    first step decides the path at the bound."""
+
+    # spread 1: class 0 holds the smallest transition and class 1 the
+    # largest, and a class-1 edge from label 0 to label 0 gains the whole
+    # spread over one from label 2
+    P = np.array([
+        [[0.0, -0.5, 0.25, 0.0], [0.25, 0.0, 0.0, -0.25],
+         [0.0, 0.0, 0.0, 0.0], [-0.25, 0.0, 0.25, 0.0]],
+        [[0.5, 0.0, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
+         [-0.5, 0.0, 0.0, 0.0], [0.0, 0.0, -0.25, 0.25]],
+    ])
+
+    @staticmethod
+    def chains(first, P, rng):
+        """The deciding chain (first, then a step that lifts label 0) and
+        the others, with their edge classes."""
+        L = len(first)
+        lift = np.zeros(L)
+        lift[0] = 2.0
+        unaries = [np.array([first, lift]), np.array([first]),
+                   rng.integers(-2, 3, size=(5, L)).astype(float),
+                   np.vstack([first, rng.integers(-2, 3, size=(4, L))])]
+        edge_classes = [[1], [], rng.integers(0, len(P), 4), [1, 0, 1, 1]]
+        return unaries, edge_classes
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_label_at_the_bound_and_ulps_around_it(self, ulps):
+        """Label 0 sits ulps from label 2's score minus the spread, in
+        [4, 8) where every sum of the deciding chain is exact: at or above
+        the bound it ties or beats label 2 into label 0 and wins."""
+        rng = np.random.default_rng(ulps + 10)
+        first = [5.0 + ulps * 2.0**-50, 2.0, 6.0, 3.0]
+        unaries, edge_classes = self.chains(first, self.P, rng)
+        paths, pruned = packed_viterbi(unaries, self.P, edge_classes)
+        assert pruned
+        assert paths[0] == [0 if ulps >= 0 else 2, 0]
+        for U, k, path in zip(unaries, edge_classes, paths):
+            lattice = Lattice(U, self.P[np.asarray(k, dtype=int)])
+            assert path == loop_viterbi(lattice)
+            assert_optimal_within_rounding(lattice, path)
+            if len(U) <= 2:
+                assert path == brute_viterbi(lattice)
+
+    @pytest.mark.parametrize("ulps", [-3, -2, -1, 0, 1])
+    def test_rounding_decides_at_large_unary_scores(self, ulps):
+        """Unary scores near 1e4 next to transitions of 2.4e-3 to 3.8e-3:
+        label 0 sits ulps of 1e4 from label 2's score minus the rounded
+        spread.  One ulp under it, label 0 trails exactly, but its rounded
+        sum ties label 2's, so it wins; the rounding margin must keep it.
+        Into label 1 to 3 every edge adds 2.4e-3, so label 0 is the best
+        last label, and the second step adds 0, so brute force rounds the
+        same sums the kernel does."""
+        P = np.full((2, 4, 4), 2.4e-3)
+        P[0] += np.diag([1e-3, 0.0, 5e-4, 0.0])
+        P[1, 0, 0] = 3.8e-3
+        first = [1e4 - (3.8e-3 - 2.4e-3), -1e4, 1e4, 1e4 - 1.0]
+        for _ in range(abs(ulps)):
+            first[0] = np.nextafter(first[0], np.sign(ulps) * np.inf)
+        unaries, edge_classes = self.chains(first, P, np.random.default_rng(ulps + 20))
+        unaries[0][1] = 0.0
+        unaries[2] = 1e4 + unaries[2] * 1e-3
+        paths, pruned = packed_viterbi(unaries, P, edge_classes)
+        assert pruned
+        assert paths[0] == [0 if ulps >= -1 else 2, 0]
+        for U, k, path in zip(unaries, edge_classes, paths):
+            lattice = Lattice(U, P[np.asarray(k, dtype=int)])
+            assert path == loop_viterbi(lattice)
+            assert_optimal_within_rounding(lattice, path)
+            if len(U) <= 2:
+                assert path == brute_viterbi(lattice)
+
+    def test_integer_ties_and_every_label_a_candidate(self):
+        """Integer scores tie exactly.  A third class spanning 100 puts every
+        label within the spread of the best, and a zero lattice ties every
+        label to it: there each step scores all L labels in full."""
+        rng = np.random.default_rng(3)
+        unaries, edge_classes = self.chains([5.0, 2.0, 6.0, 3.0], self.P, rng)
+        wide = np.concatenate([self.P, [np.diag([50.0, -50.0, 0.0, 0.0])]])
+        zeros = [np.zeros_like(U) for U in unaries]
+        for batch, P, pruned in ((unaries, self.P, True), (unaries, wide, False),
+                                 (zeros, np.zeros_like(self.P), False)):
+            paths, engaged = packed_viterbi(batch, P, edge_classes)
+            assert engaged == pruned
+            for U, k, path in zip(batch, edge_classes, paths):
+                lattice = Lattice(U, P[np.asarray(k, dtype=int)])
+                assert path == brute_viterbi(lattice) == loop_viterbi(lattice)
+        assert paths == [[0] * len(U) for U in zeros]
+
+    @given(st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_chains_match_the_unpruned_recursion(self, seed):
+        """Chains of 1 to 5 tokens over up to 4 classes: tie-prone integers,
+        peaked scores under a narrow spread, or unary scores near 1e4 next
+        to transitions near 1e-3.  Every path is loop_viterbi's, which sums
+        in the kernel's order, bit for bit; brute force agrees where the
+        sums are exact."""
+        rng = np.random.default_rng(seed + 60_000)
+        L, n_classes = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        kind = seed % 3
+        lengths = rng.integers(1, 6, size=int(rng.integers(1, 7)))
+        if kind == 0:
+            unaries = [rng.integers(-2, 3, size=(T, L)).astype(float) for T in lengths]
+            P = rng.integers(-1, 2, size=(n_classes, L, L)).astype(float)
+        elif kind == 1:
+            unaries = [rng.normal(0, 3, size=(T, L)) for T in lengths]
+            P = rng.uniform(-0.2, 0.2, size=(n_classes, L, L))
+        else:
+            unaries = [1e4 + rng.integers(-2, 3, size=(T, L)) * 1e-3 for T in lengths]
+            P = rng.integers(0, 3, size=(n_classes, L, L)) * 1e-3
+        edge_classes = [rng.integers(0, n_classes, size=T - 1) for T in lengths]
+        paths, _ = packed_viterbi(unaries, P, edge_classes)
+        for U, k, path in zip(unaries, edge_classes, paths):
+            lattice = Lattice(U, P[k])
+            assert path == loop_viterbi(lattice)
+            if kind == 0 and L ** len(U) <= 1000:
+                assert path == brute_viterbi(lattice)
+            elif L ** len(U) <= 1000:
+                assert_optimal_within_rounding(lattice, path)
+
+
 class TestPackedKernel:
     """Forward-backward and Viterbi over a whole corpus in the packed
     layout, against per-sentence references."""
@@ -556,6 +702,9 @@ class TestPackedKernel:
             assert tag(model, corpus) == gold
             # one row per chunk of a step's score tensor
             with patch.object(crf, "_VITERBI_CELL_CAP", L * L):
+                assert tag(model, corpus) == gold
+            # every step weighs the candidate bound
+            with patch.object(crf, "_PRUNE_CELLS", 0):
                 assert tag(model, corpus) == gold
 
 
@@ -1404,6 +1553,30 @@ class TestTagging:
         corpus = rare_corpus(n_sentences=2500, seed=7)
         peak, _ = traced_peak(lambda: tag(model, corpus))
         assert peak <= 2 * corpus.n_tokens * model.dictionary.n_labels * 8
+
+    def test_pruned_steps_hold_no_label_pair_tensor(self, monkeypatch):
+        """A peaked model: each word's unigram block lifts one label by 5
+        nats and the transitions spread 0.2, so nearly every previous label
+        trails its row's best by more than the spread and is never scored.
+        With the cell cap lifted, a step scored in full would hold its
+        rows x L x L scores at once; scoring candidates only, tagging peaks
+        well under that, and tags what the full steps tag."""
+        corpus = rare_corpus(n_labels=64, n_sentences=2000, seed=8)
+        model = small_model(corpus)
+        d = model.dictionary
+        L, n_uni = d.n_labels, len(d.uni_strings)
+        rng = np.random.default_rng(3)
+        weights = np.zeros(d.n_weights)
+        weights[: n_uni * L].reshape(n_uni, L)[
+            np.arange(n_uni), rng.integers(L, size=n_uni)] = 5.0
+        weights[n_uni * L :] = rng.uniform(-0.1, 0.1, d.n_weights - n_uni * L)
+        model = replace(model, weights=weights)
+        monkeypatch.setattr(crf, "_VITERBI_CELL_CAP", 10**9)
+        peak, labels = traced_peak(lambda: tag(model, corpus))
+        step = sum(length > 1 for length in corpus.lengths)  # rows of step 1
+        assert peak <= step * L * L * 8 / 4
+        monkeypatch.setattr(crf, "_PRUNE_CELLS", 10**12)  # no step weighs the bound
+        assert labels == tag(model, corpus)
 
     def test_empty_corpus_tags_to_nothing(self):
         model = small_model(OMELETTE)
