@@ -581,6 +581,32 @@ class TestCandidateBound:
                 assert path == brute_viterbi(lattice) == loop_viterbi(lattice)
         assert paths == [[0] * len(U) for U in zeros]
 
+    def test_extreme_transitions_raise_no_warning(self):
+        """Transitions of +-1e308 overflow the spread and the margin to inf,
+        which keeps every label, so each step scores all L.  No path sum
+        overflows: only an edge from label 1 into label 0 gains 1e308, and
+        every edge out of label 0 loses it.  The kernel then warns of
+        nothing (the tests turn RuntimeWarning into an error), and each
+        path scores, exactly, within rounding of the optimum: a sum near
+        1e308 drops the unary scores, so assert_optimal_within_rounding's
+        bound, computed here in Fractions, where its floats would overflow."""
+        P = np.zeros((2, 3, 3))
+        P[:, 0, :] = -1e308
+        P[0, 1, 0] = 1e308
+        rng = np.random.default_rng(5)
+        lengths = [1, 2, 5, 4]
+        unaries = [rng.integers(-2, 3, size=(T, 3)).astype(float) for T in lengths]
+        edge_classes = [rng.integers(0, 2, size=T - 1) for T in lengths]
+        paths, pruned = packed_viterbi(unaries, P, edge_classes)
+        assert not pruned
+        for U, k, path in zip(unaries, edge_classes, paths):
+            lattice = Lattice(U, P[k])
+            assert path == loop_viterbi(lattice)
+            T = len(U)
+            bound = Fraction(2 * T * np.finfo(float).eps) * (2 * T + (T - 1) * Fraction(1e308))
+            optimum = max(exact_score(lattice, y) for y in all_sequences(T, 3))
+            assert exact_score(lattice, path) >= optimum - bound
+
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=100, deadline=None)
     def test_random_chains_match_the_unpruned_recursion(self, seed):
