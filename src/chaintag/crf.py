@@ -36,9 +36,9 @@ for the bound to pay.
 
 Of that encoding only the gold labels depend on a model's labels.  The
 rest, a design (layout, activations, transition classes and matrices),
-is built once per feature index, dictionary strings, sentence lengths
-and group cuts, kept read-only beside the index and dropped with it, so
-models that share an index, such as a decomposed plan's, share it.
+is built once per feature index, dictionary strings and group cuts,
+kept read-only beside the index and dropped with it, so models that
+share an index, such as a decomposed plan's, share it.
 
 Forward-backward uses the scaled probability-domain recursion (Sutton &
 McCallum, "An Introduction to CRFs", section on scaling; CRFsuite does
@@ -116,6 +116,7 @@ from .templates import (  # noqa: F401 (bench/run.py traces crf.active_features)
     active_features,
     build_dictionary,
     fitting_index,
+    index_features,
 )
 
 
@@ -266,31 +267,25 @@ _DESIGNS = weakref.WeakKeyDictionary()  # each live index's designs, see _encode
 
 
 def _encode(
-    corpus: Corpus,
-    templates: Sequence[FeatureTemplate],
-    dictionary: FeatureDictionary,
-    label_column: int | None = None,
-    index: FeatureIndex | None = None,
+    index: FeatureIndex, dictionary: FeatureDictionary, labels: Sequence[str] | None = None
 ) -> _Encoded:
-    """The index's design (see _design) for the dictionary's strings, the
-    corpus's lengths and the group cuts, built once per index, with gold
-    labels and pair counts when a label column is given.  A given index
-    must fit the corpus and templates (see fitting_index)."""
-    index = fitting_index(corpus, templates, index)
+    """The index's design (see _design) for the dictionary's strings and
+    the group cuts, built once per index, with gold labels and pair counts
+    when the indexed corpus's labels are given; the caller fits the index
+    (see fitting_index)."""
     L = dictionary.n_labels
-    lengths = np.asarray(corpus.lengths, dtype=np.intp)
+    lengths = np.asarray(index.lengths, dtype=np.intp)
     # a group starts every _GROUP_CELL_CAP cells of sorted tokens
     by_length = np.argsort(-lengths, kind="stable")
     before = np.cumsum(lengths[by_length]) - lengths[by_length]
     cuts = np.flatnonzero(np.diff(before // max(1, _GROUP_CELL_CAP // L))) + 1
-    key = (dictionary.uni_strings, dictionary.bi_strings, corpus.lengths, cuts.tobytes())
+    key = (dictionary.uni_strings, dictionary.bi_strings, cuts.tobytes())
     designs = _DESIGNS.setdefault(index, {})
     if key not in designs:
         designs[key] = _design(index, dictionary, lengths, np.split(by_length, cuts))
     design = designs[key]
     y = gold_pairs = None
-    if label_column is not None:
-        labels = corpus.columns[label_column]
+    if labels is not None:
         y = list(map(dictionary.label_index, labels))
         if None in y:
             raise UnknownLabelError(
@@ -491,7 +486,7 @@ def _scores(weights: np.ndarray, enc: _Encoded):
 
 def _scored(model: LinearChainModel, corpus: Corpus, index: FeatureIndex | None = None):
     """The model's scores on the corpus (see _scores) and its encoding."""
-    enc = _encode(corpus, model.templates, model.dictionary, index=index)
+    enc = _encode(fitting_index(corpus, model.templates, index), model.dictionary)
     return (*_scores(model.weights, enc), enc)
 
 
@@ -736,7 +731,7 @@ def objective_and_gradient(model: LinearChainModel, data: Corpus, sigma: float):
     """Value and gradient at the model's current weights on data labeled
     in its last column.  sigma must be one TrainingConfig accepts."""
     TrainingConfig(sigma=sigma)
-    enc = _encode(data, model.templates, model.dictionary, data.schema.width - 1)
+    enc = _encode(index_features(data, model.templates), model.dictionary, data.columns[-1])
     return _objective(model.weights, enc, sigma)
 
 
@@ -976,7 +971,7 @@ def train(
                 )
     index = fitting_index(corpus, templates, index)
     dictionary = build_dictionary(corpus, templates, column, config.cutoff, index)
-    enc = _encode(corpus, templates, dictionary, column, index)
+    enc = _encode(index, dictionary, corpus.columns[column])
     # Fewer tokens than unigram strings: L-BFGS runs on token coordinates
     # (see _TokenBasis), whose iterates map to those on the weights
     basis = _TokenBasis(enc) if corpus.n_tokens < len(dictionary.uni_strings) else None

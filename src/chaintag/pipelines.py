@@ -223,7 +223,7 @@ def jackknife_stage_features(
     if given (see train): it has seen the held-out sentences, but the
     fold's objective has one optimum, so it only saves iterations, and
     it is discarded with the fold.  The folds' rows are gathered from
-    index, the view's index under its stage templates, if given."""
+    index, an index of the view under its stage templates, if given."""
     if not isinstance(k, Integral) or k < 2:
         raise PipelineConfigError(
             "jackknifing needs an integer of at least 2 folds, got %r" % (k,))
@@ -241,10 +241,10 @@ def jackknife_stage_features(
     for fold in range(k):
         kept, held_out = assignment.train_indices(fold), assignment.test_indices(fold)
         model = train(select_sentences(view, kept), templates, config,
-                      index=select_index(index, view, kept), start=start)
+                      index=select_index(index, kept), start=start)
         stops.append(model.stop)
         labels = tag(model, select_sentences(observed, held_out),
-                     index=select_index(index, view, held_out))
+                     index=select_index(index, held_out))
         per_sentence.update(zip(held_out, labels))
     values = _flat(per_sentence[i] for i in range(n))
     return StagePrediction(label, tuple(values), "jackknifed", tuple(stops))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,13 +130,16 @@ class FeatureIndex:
     (sentence, then position, then template).  Row i of uni_ids holds,
     per U template, the id of its string at token i in corpus order; row
     e of bi_ids does the same per B template for edge e, the label pair
-    ending at a sentence's positions 1..T-1.
+    ending at a sentence's positions 1..T-1.  lengths are the indexed
+    corpus's sentence lengths and templates the ones expanded, in order.
     """
 
     uni_strings: tuple[str, ...]
     bi_strings: tuple[str, ...]
     uni_ids: np.ndarray  # tokens x U templates, into uni_strings
     bi_ids: np.ndarray  # edges x B templates, into bi_strings
+    lengths: tuple[int, ...]
+    templates: tuple[FeatureTemplate, ...]
 
 
 def index_features(
@@ -237,6 +240,8 @@ def index_features(
         bi_strings,
         rank[:n_uni_cells].reshape(n, n_uni),
         rank[n_uni_cells:].reshape(len(edges), len(ordered) - n_uni),
+        corpus.lengths,
+        tuple(templates),
     )
 
 
@@ -246,34 +251,31 @@ def fitting_index(
     index: FeatureIndex | None = None,
 ) -> FeatureIndex:
     """index_features(corpus, templates), or the given index, which must
-    have a row per token and per edge of the corpus and a column per U and
-    per B template: any index built from the corpus's observation columns
-    and the templates, such as one over another view of the same columns."""
+    have been built from sentences of the corpus's lengths under the same
+    templates in the same order: any index of the corpus's observation
+    columns and the templates, such as one over another view of them."""
     if index is None:
         return index_features(corpus, templates)
-    n_uni = sum(t.kind == "U" for t in templates)
-    shapes = ((corpus.n_tokens, n_uni),
-              (corpus.n_tokens - corpus.n_sentences, len(templates) - n_uni))
-    got = (index.uni_ids.shape, index.bi_ids.shape)
-    if got != shapes:
-        raise LengthMismatchError("feature index ids of shapes %s and %s, where the "
-                                  "corpus and templates need %s and %s" % (*got, *shapes))
+    if index.lengths != corpus.lengths or index.templates != tuple(templates):
+        raise LengthMismatchError("the feature index is of other sentences or "
+                                  "templates than the corpus and templates given")
     return index
 
 
-def select_index(index: FeatureIndex, corpus: Corpus, indices) -> FeatureIndex:
-    """The index of select_sentences(corpus, indices), gathered from an
-    index that fits the corpus (see fitting_index): the kept sentences'
-    token and edge rows in the given order, their strings renumbered by
-    first occurrence in the gathered rows, as index_features numbers them."""
-    bounds = corpus.bounds
-    picked = [(i, *bounds[i]) for i in indices]
+def select_index(index: FeatureIndex, indices) -> FeatureIndex:
+    """The index of the given sentences of the indexed corpus, as of
+    select_sentences(corpus, indices): their token and edge rows in the
+    given order, their strings renumbered by first occurrence in the
+    gathered rows, as index_features numbers them."""
+    ends = tuple(accumulate(index.lengths))
+    picked = [(i, ends[i] - index.lengths[i], ends[i]) for i in indices]
     tokens = [row for _, start, end in picked for row in range(start, end)]
     # the edge ending at token row r of sentence i is edge row r - i - 1
     edges = [row - i - 1 for i, start, end in picked for row in range(start + 1, end)]
     uni_strings, uni_ids = _renumbered(index.uni_strings, index.uni_ids[tokens])
     bi_strings, bi_ids = _renumbered(index.bi_strings, index.bi_ids[edges])
-    return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids)
+    return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids,
+                        tuple(end - start for _, start, end in picked), index.templates)
 
 
 def _renumbered(strings: tuple[str, ...], ids: np.ndarray):

@@ -47,7 +47,12 @@ from chaintag.errors import (
     TrainingConfigError,
     UnknownLabelError,
 )
-from chaintag.templates import active_features, default_templates, parse_templates
+from chaintag.templates import (
+    active_features,
+    default_templates,
+    index_features,
+    parse_templates,
+)
 
 SCHEMA = ColumnSchema(("mot", "tag"))
 
@@ -684,7 +689,7 @@ class TestPackedKernel:
         model = replace(model, weights=weights)
         cap = crf._GROUP_CELL_CAP if group_tokens is None else group_tokens * L
         with patch.object(crf, "_GROUP_CELL_CAP", cap):
-            enc = crf._encode(corpus, model.templates, d, 1)
+            enc = crf._encode(index_features(corpus, model.templates), d, corpus.columns[1])
             with patch.object(crf, "_log_forward_backward",
                               wraps=crf._log_forward_backward) as log_path:
                 log_z, node, per_class = crf._expectations(*crf._scores(weights, enc), enc)
@@ -907,7 +912,7 @@ class TestObjective:
         model = replace(model, weights=weights)
         sigma = 2.0
         with patch.object(crf, "_GROUP_CELL_CAP", 3 * d.n_labels):
-            enc = crf._encode(corpus, model.templates, d, 1)
+            enc = crf._encode(index_features(corpus, model.templates), d, corpus.columns[1])
             assert len(enc.spans) > 1 and enc.transitions.shape[0] > 1
             value, _ = objective_and_gradient(model, corpus, sigma)
         expected = -float(weights @ weights) / (2 * sigma * sigma)
@@ -923,7 +928,8 @@ class TestObjective:
         mapped through B."""
         corpus = paired_corpus()
         model = small_model(corpus, "U00:%x[0,0]\nU01:%x[1,0]\nB\nB1:%x[-1,0]\n")
-        enc = crf._encode(corpus, model.templates, model.dictionary, 1)
+        enc = crf._encode(index_features(corpus, model.templates), model.dictionary,
+                          corpus.columns[1])
         basis = crf._TokenBasis(enc)
         z = np.random.default_rng(7).normal(size=basis.shape[1])
         gram = gram_oracle(enc, z)
@@ -1491,7 +1497,7 @@ class TestTokenCoordinates:
         else:
             corpus = paired_corpus()
             model = train(corpus, ONE_SIDED, TrainingConfig(cutoff=2, max_iterations=0))
-            A = crf._encode(corpus, ONE_SIDED, model.dictionary).activations
+            A = crf._encode(index_features(corpus, ONE_SIDED), model.dictionary).activations
         assert np.diff(A.indptr).min() == 0
         enc = SimpleNamespace(activations=A, activations_T=A.T, n_labels=L,
                               transitions=sparse.csr_matrix((3, 2)))
@@ -1524,7 +1530,7 @@ class TestTokenCoordinates:
         corpus = paired_corpus()
         model = train(corpus, ONE_SIDED, TrainingConfig(cutoff=2, max_iterations=5))
         lonely = select_sentences(corpus, [corpus.n_sentences - 1])
-        enc = crf._encode(lonely, model.templates, model.dictionary, None)
+        enc = crf._encode(index_features(lonely, model.templates), model.dictionary)
         assert enc.activations.nnz == 0
 
     def test_more_tokens_than_strings_train_on_the_weights(self, monkeypatch):

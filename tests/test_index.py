@@ -26,6 +26,7 @@ from chaintag.templates import (
     FeatureTemplate,
     Macro,
     build_dictionary,
+    default_templates,
     index_features,
     parse_templates,
     select_index,
@@ -211,7 +212,7 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
     assert list(d.counts) == [s for s, _ in retained]
 
     L = d.n_labels
-    enc = crf._encode(corpus, templates, d, 2)
+    enc = crf._encode(index_features(corpus, templates), d, corpus.columns[2])
     activations = np.zeros((corpus.n_tokens, len(d.uni_strings)))
     empirical = np.zeros(d.n_weights)
     classes: dict[tuple, int] = {}
@@ -274,8 +275,9 @@ def test_a_subsets_rows_gathered_from_the_corpus_index_are_its_own_index(
     run of its sentences, repeats and any order included, is the corpus
     index's rows for them, the strings renumbered by first occurrence."""
     subset = data.draw(st.lists(st.integers(0, corpus.n_sentences - 1), max_size=6))
-    gathered = select_index(index_features(corpus, templates), corpus, subset)
+    gathered = select_index(index_features(corpus, templates), subset)
     own = index_features(select_sentences(corpus, subset), templates)
+    assert (gathered.lengths, gathered.templates) == (own.lengths, own.templates)
     assert gathered.uni_strings == own.uni_strings
     assert gathered.bi_strings == own.bi_strings
     for got, expected in ((gathered.uni_ids, own.uni_ids), (gathered.bi_ids, own.bi_ids)):
@@ -383,6 +385,57 @@ def test_an_index_must_fit_the_corpus_and_templates():
             marginals(model, corpus, index=index)
 
 
+# three sentences of lengths 3, 1 and 2, and their stage templates (those
+# of jackknife_stage_features, over the two observation columns)
+LABELED = Corpus((tuple("abacba"), tuple("xyxyxx"), tuple("XYXZYX")), (3, 1, 2), SCHEMA)
+STAGE_TEMPLATES = parse_templates(default_templates(range(2)))
+
+
+def index_calls(corpus):
+    """train, tag, marginals, build_dictionary and jackknife_stage_features
+    on the corpus under the stage templates, each a function of an index."""
+    config = TrainingConfig(max_iterations=3)
+    model = train(corpus, STAGE_TEMPLATES, config)
+    return [
+        lambda index: train(corpus, STAGE_TEMPLATES, config, index=index).weights.tolist(),
+        lambda index: tag(model, corpus, index=index),
+        lambda index: np.concatenate(marginals(model, corpus, index=index)).tolist(),
+        lambda index: build_dictionary(corpus, STAGE_TEMPLATES, 2, index=index),
+        lambda index: jackknife_stage_features(corpus, config, 2, 0, index=index),
+    ]
+
+
+@pytest.mark.parametrize("misfit", ["relaid", "other templates", "reordered templates"])
+def test_an_index_of_other_sentences_or_templates_is_refused(misfit):
+    """Each of these has the corpus's token and edge counts and its U and B
+    template counts, yet would change the output: the same tokens cut into
+    other sentences read other sentinels, other templates other cells, and
+    reordered templates number the strings, so the model file, otherwise."""
+    index = {
+        "relaid": index_features(replace(LABELED, lengths=(2, 2, 2)), STAGE_TEMPLATES),
+        "other templates": index_features(LABELED, parse_templates(default_templates([1, 0]))),
+        "reordered templates": index_features(LABELED, STAGE_TEMPLATES[::-1]),
+    }[misfit]
+    for call in index_calls(LABELED):
+        with pytest.raises(LengthMismatchError):
+            call(index)
+
+
+def test_an_index_of_another_view_or_gathered_for_a_fold_is_accepted():
+    """An index of another view of the observation columns (a decomposed
+    plan's components share one) and one gathered from the corpus's index
+    for some of its sentences (as for a jackknife fold) give what no index
+    gives."""
+    subset = [2, 0, 2]
+    for corpus, index in (
+            (LABELED, index_features(select_columns(LABELED, ["mot", "extra"]),
+                                     STAGE_TEMPLATES)),
+            (select_sentences(LABELED, subset),
+             select_index(index_features(LABELED, STAGE_TEMPLATES), subset))):
+        for call in index_calls(corpus):
+            assert call(index) == call(None)
+
+
 # --- designs: the label-free encoding an index keeps ----------------------
 
 
@@ -397,38 +450,33 @@ def assert_same_outputs(got, expected):
     assert np.array_equal(got[1], expected[1])
 
 
-def test_one_index_keeps_a_design_per_string_set_cut_and_lengths():
-    """Two dictionaries over other strings (cutoff 1 and 2), other group
-    cuts, and other sentence lengths of the same token and edge counts
-    (which fitting_index accepts) each get their own design on one index;
-    training and tagging again reuse them, and every result is the one a
-    fresh copy of the index, which holds no design, gives."""
-    corpus = table(["a", "b", "a", "c", "b", "a"], ["x", "y", "x", "y", "x", "x"],
-                   [3, 1, 2])
-    corpus = replace(corpus, columns=corpus.columns[:2] + (tuple("XYXZYX"),))
-    relaid = replace(corpus, lengths=(2, 2, 2))
+def test_one_index_keeps_a_design_per_string_set_and_cut():
+    """Two dictionaries over other strings (cutoff 1 and 2) and other group
+    cuts each get their own design on one index; training and tagging
+    again reuse them, and every result is the one a fresh copy of the
+    index, which holds no design, gives."""
+    corpus = LABELED
     index = index_features(corpus, WIDE_TEMPLATES)
     config = TrainingConfig(max_iterations=3)
     models = [train(corpus, WIDE_TEMPLATES, replace(config, cutoff=c)) for c in (1, 2)]
     assert models[0].dictionary.uni_strings != models[1].dictionary.uni_strings
     cut = 3 * models[0].dictionary.n_labels  # groups of about 3 tokens
     with patch.object(crf, "_GROUP_CELL_CAP", cut):
-        assert len(crf._encode(corpus, WIDE_TEMPLATES, models[0].dictionary).spans) > 1
+        assert len(crf._encode(index_features(corpus, WIDE_TEMPLATES),
+                               models[0].dictionary).spans) > 1
         expected_cut = outputs(models[0], corpus, replace(index))
-    expected = [outputs(m, c, replace(index)) for m in models for c in (corpus, relaid)]
-    assert expected[0][0] != expected[1][0]  # the relaid sentences read other sentinels
+    expected = [outputs(m, corpus, replace(index)) for m in models]
     with patch.object(crf, "_design", wraps=crf._design) as build:
         for _ in range(2):
-            for m, c, want in zip([models[0]] * 2 + [models[1]] * 2,
-                                  [corpus, relaid] * 2, expected):
-                assert_same_outputs(outputs(m, c, index), want)
+            for m, want in zip(models, expected):
+                assert_same_outputs(outputs(m, corpus, index), want)
             with patch.object(crf, "_GROUP_CELL_CAP", cut):
                 assert_same_outputs(outputs(models[0], corpus, index), expected_cut)
             for m, c in zip(models, (1, 2)):
                 shared = train(corpus, WIDE_TEMPLATES, replace(config, cutoff=c), index)
                 assert np.array_equal(shared.weights, m.weights)
-    assert build.call_count == 5
-    assert len(crf._DESIGNS[index]) == 5
+    assert build.call_count == 3
+    assert len(crf._DESIGNS[index]) == 3
 
 
 def test_an_index_keeps_its_designs_only_while_it_lives():
@@ -458,7 +506,7 @@ def test_a_designs_arrays_are_read_only():
     write, which would change another model's encoding, raises."""
     corpus = table(["a", "b", "c", "d", "a"], ["x", "y", "x", "y", "x"], [3, 2])
     model = train(corpus, WIDE_TEMPLATES, TrainingConfig(max_iterations=0))
-    enc = crf._encode(corpus, WIDE_TEMPLATES, model.dictionary, 2)
+    enc = crf._encode(index_features(corpus, WIDE_TEMPLATES), model.dictionary, corpus.columns[2])
     for matrix in (enc.activations, enc.activations_T, enc.transitions, enc.transitions_T):
         for a in (matrix.data, matrix.indices, matrix.indptr):
             with pytest.raises(ValueError, match="read-only"):
