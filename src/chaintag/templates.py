@@ -8,8 +8,9 @@ Rows outside the sentence substitute boundary sentinels ("_B-1" before,
 "_B+1" after), which parse_corpus and materialize_recipe refuse as cell
 values.
 
-index_features expands every template over a whole corpus in one pass
-over interned cell ids, building a string only for each distinct key;
+index_features expands every template over a whole corpus from
+interned cell ids, with one numbering per kind (U, B), building a
+string only for each distinct key;
 the dictionary counts its ids, the CRF encodes from it, and expand and
 active_features are its views for one sentence (a one-sentence corpus,
 such as select_sentences(corpus, [i])).
@@ -25,6 +26,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,7 +133,8 @@ class FeatureIndex:
     per U template, the id of its string at token i in corpus order; row
     e of bi_ids does the same per B template for edge e, the label pair
     ending at a sentence's positions 1..T-1.  lengths are the indexed
-    corpus's sentence lengths and templates the ones expanded, in order.
+    corpus's sentence lengths, templates the ones expanded, in order, and
+    cells the corpus columns they read, in column order.
     """
 
     uni_strings: tuple[str, ...]
@@ -140,6 +143,18 @@ class FeatureIndex:
     bi_ids: np.ndarray  # edges x B templates, into bi_strings
     lengths: tuple[int, ...]
     templates: tuple[FeatureTemplate, ...]
+    cells: tuple[tuple[str, ...], ...]
+
+
+def _columns_read(corpus: Corpus, templates: Sequence[FeatureTemplate]) -> list[int]:
+    """The columns the templates read, in order; BadColumnError if the corpus lacks one."""
+    width = corpus.schema.width
+    for t in templates:
+        for m in t.macros:
+            if m.col >= width:
+                raise BadColumnError("template %s reads column %d but the corpus "
+                                     "has %d columns" % (t.id, m.col, width))
+    return sorted({m.col for t in templates for m in t.macros})
 
 
 def index_features(
@@ -150,26 +165,21 @@ def index_features(
     Each column a macro reads is laid out once, every sentence framed by
     pad sentinel cells on both sides (pad being the widest macro offset),
     and each cell interned to an id; a macro at offset r reads the frame
-    shifted by r.  The macro ids of each (position, template) cell make
-    one integer key, one np.unique numbers the keys of all templates by
-    first occurrence, and a string is built only for each distinct key.
-    Distinct keys that spell one string ("a/b" + "c", "a" + "b/c") share
-    the earliest key's id.
+    shifted by r.  Each kind is then numbered on its own: the macro ids
+    of each (position, template) cell make one integer key, one np.unique
+    numbers the kind's keys by first occurrence, and a string is built
+    only for each distinct key.  Distinct keys that spell one string
+    ("a/b" + "c", "a" + "b/c") share the earliest key's id.
     """
-    width = corpus.schema.width
-    for t in templates:
-        for m in t.macros:
-            if m.col >= width:
-                raise BadColumnError("template %s reads column %d but the corpus "
-                                     "has %d columns" % (t.id, m.col, width))
-    macros = [m for t in templates for m in t.macros]
-    pad = max((abs(m.row) for m in macros), default=0)
+    cols = _columns_read(corpus, templates)
+    cells = tuple(corpus.columns[c] for c in cols)
+    pad = max((abs(m.row) for t in templates for m in t.macros), default=0)
     n, n_sentences = corpus.n_tokens, corpus.n_sentences
     left = tuple("_B%d" % -k for k in range(pad, 0, -1))
     right = tuple("_B+%d" % k for k in range(1, pad + 1))
-    cols = sorted({m.col for m in macros})
-    framed = [tuple(chain.from_iterable(left + corpus.columns[c][start:end] + right
-                                        for start, end in corpus.bounds)) for c in cols]
+    framed = [tuple(chain.from_iterable(left + column[start:end] + right
+                                        for start, end in corpus.bounds))
+              for column in cells]
     size = n + 2 * pad * n_sentences
     # Ids count from 1.  Id 0 fills the macros a template lacks to reach
     # the widest template's count; a row of 0s after the columns' rows
@@ -182,67 +192,49 @@ def index_features(
     )
     at = np.arange(n) + np.repeat(pad + 2 * pad * np.arange(n_sentences),
                                   corpus.lengths)
-    # U templates first; macro k of template j reads the id at frame slot
-    # at[i] + reads[j, k] for token i
-    ordered = [t for t in templates if t.kind == "U"]
-    n_uni = len(ordered)
-    ordered += [t for t in templates if t.kind != "U"]
-    depth = max((len(t.macros) for t in ordered), default=0)
     row_of = {c: i * size for i, c in enumerate(cols)}
-    reads = np.fromiter(chain.from_iterable(
-        [row_of[m.col] + m.row for m in t.macros]
-        + [len(cols) * size] * (depth - len(t.macros))
-        for t in ordered
-    ), dtype=np.intp, count=len(ordered) * depth).reshape(len(ordered), depth)
-    # key = the template's index, then its macro ids in radix 1 + len(words);
-    # keys are re-ranked densely whenever the next digit could pass 2**62
     radix = 1 + len(words)
-    key = np.broadcast_to(np.arange(len(ordered)), (n, len(ordered)))
-    span = len(ordered)
-    for k in range(depth):
-        if span * radix > 2**62:
-            key = np.unique(key, return_inverse=True)[1].reshape(n, len(ordered))
-            span = int(key.max()) + 1
-        key = key * radix + frame[at[:, None] + reads[:, k]]
-        span *= radix
-    # U cells in (token, template) order, then B cells in (edge, template)
-    # order; an edge ends at every token that does not start a sentence
-    edges = np.delete(np.arange(n), [start for start, _ in corpus.bounds])
-    flat = np.concatenate([key[:, :n_uni].ravel(), key[edges, n_uni:].ravel()])
-    del key  # before np.unique's sorted copy, permutation and inverse
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.argsort(order)[inverse]
-    # each distinct key's string, spelled from the cell where it first occurs
-    first = first[order]
-    n_uni_cells = n * n_uni
-    n_uni_keys = int(np.searchsorted(first, n_uni_cells))
-    token, uni_template = np.divmod(first[:n_uni_keys], max(n_uni, 1))
-    edge, bi_template = np.divmod(first[n_uni_keys:] - n_uni_cells,
-                                  max(len(ordered) - n_uni, 1))
-    token = np.concatenate([token, edges[edge]])
-    template = np.concatenate([uni_template, bi_template + n_uni])
     spelled = np.array(["", *words], dtype=object)
     joined = np.array(["", *("/" + w for w in words)], dtype=object)
-    strings = np.array([t.id + ":" if t.macros else t.id for t in ordered],
-                       dtype=object)[template]
-    for k in range(depth):
-        strings += (joined if k else spelled)[frame[at[token] + reads[template, k]]]
-    strings = strings.tolist()
-    uni_strings = tuple(dict.fromkeys(strings[:n_uni_keys]))
-    bi_strings = tuple(dict.fromkeys(strings[n_uni_keys:]))
-    ids = dict(zip(uni_strings, count()))
-    ids.update(zip(bi_strings, count()))
-    rank = np.fromiter(map(ids.__getitem__, strings), dtype=np.intp,
-                       count=len(strings))[rank]
-    return FeatureIndex(
-        uni_strings,
-        bi_strings,
-        rank[:n_uni_cells].reshape(n, n_uni),
-        rank[n_uni_cells:].reshape(len(edges), len(ordered) - n_uni),
-        corpus.lengths,
-        tuple(templates),
-    )
+
+    def number(kind: str, slots: np.ndarray):
+        """The kind's strings, and its templates' ids at the given frame slots."""
+        chosen = [t for t in templates if t.kind == kind]
+        depth = max((len(t.macros) for t in chosen), default=0)
+        # macro k of template j reads the id at frame slot slots[i] + reads[j, k]
+        reads = np.array([[row_of[m.col] + m.row for m in t.macros]
+                          + [len(cols) * size] * (depth - len(t.macros)) for t in chosen],
+                         dtype=np.intp).reshape(len(chosen), depth)
+        # key = the template's index, then its macro ids in radix 1 + len(words);
+        # keys are re-ranked densely whenever the next digit could pass 2**62
+        shape = (len(slots), len(chosen))
+        key = np.broadcast_to(np.arange(len(chosen)), shape)
+        span = len(chosen)
+        for k in range(depth):
+            if span * radix > 2**62:
+                distinct, key = np.unique(key, return_inverse=True)
+                key, span = key.reshape(shape), len(distinct)
+            key = key * radix + frame[slots[:, None] + reads[:, k]]
+            span *= radix
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        # each distinct key's string, spelled from the cell where it first occurs
+        cell, template = np.divmod(first[order], len(chosen))
+        strings = np.array([t.id + ":" if t.macros else t.id for t in chosen],
+                           dtype=object)[template]
+        for k in range(depth):
+            strings += (joined if k else spelled)[frame[slots[cell] + reads[template, k]]]
+        strings = strings.tolist()
+        ids = dict(zip(dict.fromkeys(strings), count()))
+        rank = np.empty_like(order)  # each distinct key's id, in np.unique's order
+        rank[order] = np.fromiter(map(ids.__getitem__, strings), np.intp, len(order))
+        return tuple(ids), rank[inverse].reshape(shape)
+
+    uni_strings, uni_ids = number("U", at)
+    # an edge ends at every token that does not start a sentence
+    bi_strings, bi_ids = number("B", np.delete(at, [start for start, _ in corpus.bounds]))
+    return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids,
+                        corpus.lengths, tuple(templates), cells)
 
 
 def fitting_index(
@@ -251,31 +243,37 @@ def fitting_index(
     index: FeatureIndex | None = None,
 ) -> FeatureIndex:
     """index_features(corpus, templates), or the given index, which must
-    have been built from sentences of the corpus's lengths under the same
-    templates in the same order: any index of the corpus's observation
-    columns and the templates, such as one over another view of them."""
+    have been built under the same templates in the same order from the
+    cells they read in the corpus, in sentences of the corpus's lengths:
+    such as an index of another view of those columns."""
     if index is None:
         return index_features(corpus, templates)
-    if index.lengths != corpus.lengths or index.templates != tuple(templates):
-        raise LengthMismatchError("the feature index is of other sentences or "
-                                  "templates than the corpus and templates given")
+    cells = tuple(corpus.columns[c] for c in _columns_read(corpus, templates))
+    if (index.lengths, index.templates, index.cells) != (corpus.lengths, tuple(templates), cells):
+        raise LengthMismatchError("the feature index is of other sentences, templates "
+                                  "or cells than the corpus and templates given")
     return index
 
 
 def select_index(index: FeatureIndex, indices) -> FeatureIndex:
     """The index of the given sentences of the indexed corpus, as of
-    select_sentences(corpus, indices): their token and edge rows in the
-    given order, their strings renumbered by first occurrence in the
-    gathered rows, as index_features numbers them."""
+    select_sentences(corpus, indices), negative indices counting from the
+    end: their token and edge rows and cells in the given order, their
+    strings renumbered by first occurrence in the gathered rows, as
+    index_features numbers them."""
     ends = tuple(accumulate(index.lengths))
-    picked = [(i, ends[i] - index.lengths[i], ends[i]) for i in indices]
+    picked = [(i, ends[i] - index.lengths[i], ends[i])
+              for i in map(range(len(ends)).__getitem__, indices)]
     tokens = [row for _, start, end in picked for row in range(start, end)]
     # the edge ending at token row r of sentence i is edge row r - i - 1
     edges = [row - i - 1 for i, start, end in picked for row in range(start + 1, end)]
     uni_strings, uni_ids = _renumbered(index.uni_strings, index.uni_ids[tokens])
     bi_strings, bi_ids = _renumbered(index.bi_strings, index.bi_ids[edges])
+    # itemgetter gives a tuple for two or more items only
+    take = itemgetter(*tokens) if len(tokens) > 1 else lambda c: tuple(c[r] for r in tokens)
     return FeatureIndex(uni_strings, bi_strings, uni_ids, bi_ids,
-                        tuple(end - start for _, start, end in picked), index.templates)
+                        tuple(end - start for _, start, end in picked), index.templates,
+                        tuple(map(take, index.cells)))
 
 
 def _renumbered(strings: tuple[str, ...], ids: np.ndarray):

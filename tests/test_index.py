@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaintag import crf
 from chaintag.corpus import ColumnSchema, Corpus, select_columns, select_sentences
-from chaintag.errors import LengthMismatchError
+from chaintag.errors import BadColumnError, LengthMismatchError
 from chaintag.crf import Lattice, TrainingConfig, marginals, sequence_score, tag, train
 from chaintag.pipelines import jackknife_stage_features
 from chaintag.templates import (
@@ -53,8 +53,8 @@ def corpora(draw):
 
 @st.composite
 def template_sets(draw):
-    uni = draw(st.lists(st.lists(_MACRO, max_size=2), min_size=1, max_size=4))
-    bi = draw(st.lists(st.lists(_MACRO, max_size=2), min_size=1, max_size=3))
+    uni = draw(st.lists(st.lists(_MACRO, max_size=2), min_size=0, max_size=4))
+    bi = draw(st.lists(st.lists(_MACRO, max_size=2), min_size=0, max_size=3))
     return tuple(
         [FeatureTemplate("U%d" % i, "U", tuple(m)) for i, m in enumerate(uni)]
         + [FeatureTemplate("B%d" % i, "B", tuple(m)) for i, m in enumerate(bi)]
@@ -272,12 +272,15 @@ def test_index_matches_the_per_position_reference(corpus, templates, cutoff, see
 def test_a_subsets_rows_gathered_from_the_corpus_index_are_its_own_index(
         corpus, templates, data):
     """Each sentence is framed by its own sentinels, so the index of any
-    run of its sentences, repeats and any order included, is the corpus
-    index's rows for them, the strings renumbered by first occurrence."""
-    subset = data.draw(st.lists(st.integers(0, corpus.n_sentences - 1), max_size=6))
+    run of its sentences, repeats, any order and negative indices
+    included, is the corpus index's rows and cells for them, the strings
+    renumbered by first occurrence."""
+    n = corpus.n_sentences
+    subset = data.draw(st.lists(st.integers(-n, n - 1), max_size=6))
     gathered = select_index(index_features(corpus, templates), subset)
     own = index_features(select_sentences(corpus, subset), templates)
     assert (gathered.lengths, gathered.templates) == (own.lengths, own.templates)
+    assert gathered.cells == own.cells
     assert gathered.uni_strings == own.uni_strings
     assert gathered.bi_strings == own.bi_strings
     for got, expected in ((gathered.uni_ids, own.uni_ids), (gathered.bi_ids, own.bi_ids)):
@@ -405,20 +408,39 @@ def index_calls(corpus):
     ]
 
 
-@pytest.mark.parametrize("misfit", ["relaid", "other templates", "reordered templates"])
+@pytest.mark.parametrize("misfit", ["relaid", "other templates", "reordered templates",
+                                    "other cells"])
 def test_an_index_of_other_sentences_or_templates_is_refused(misfit):
     """Each of these has the corpus's token and edge counts and its U and B
     template counts, yet would change the output: the same tokens cut into
-    other sentences read other sentinels, other templates other cells, and
-    reordered templates number the strings, so the model file, otherwise."""
+    other sentences read other sentinels, other templates other cells,
+    reordered templates number the strings, so the model file, otherwise,
+    and other cells of the same lengths spell other strings."""
     index = {
         "relaid": index_features(replace(LABELED, lengths=(2, 2, 2)), STAGE_TEMPLATES),
+        "other cells": index_features(
+            replace(LABELED, columns=(tuple("abacbb"),) + LABELED.columns[1:]),
+            STAGE_TEMPLATES),
         "other templates": index_features(LABELED, parse_templates(default_templates([1, 0]))),
         "reordered templates": index_features(LABELED, STAGE_TEMPLATES[::-1]),
     }[misfit]
     for call in index_calls(LABELED):
         with pytest.raises(LengthMismatchError):
             call(index)
+
+
+def test_a_corpus_too_narrow_for_the_templates_is_refused_with_or_without_an_index():
+    """An index of the full corpus does not stand in for the columns the
+    templates read: the narrow corpus is refused as index_features
+    refuses it."""
+    model = train(LABELED, STAGE_TEMPLATES, TrainingConfig(max_iterations=3))
+    narrow = select_columns(LABELED, ["mot"])
+    for index in (None, index_features(LABELED, STAGE_TEMPLATES)):
+        for call in (lambda: tag(model, narrow, index=index),
+                     lambda: marginals(model, narrow, index=index),
+                     lambda: build_dictionary(narrow, STAGE_TEMPLATES, 0, index=index)):
+            with pytest.raises(BadColumnError):
+                call()
 
 
 def test_an_index_of_another_view_or_gathered_for_a_fold_is_accepted():
